@@ -1,15 +1,12 @@
 package kvstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"securecache/internal/metrics"
@@ -26,15 +23,10 @@ const scanPageBytes = 1 << 20
 // the proto wire format. Create with NewBackend, then Serve (or use
 // StartBackend which does both on a goroutine).
 type Backend struct {
-	id          int
-	store       *Store
-	metrics     *metrics.Registry
-	idleTimeout atomic.Int64 // ns; 0 = no limit
-
-	// Overload control: nil gate = unlimited (the seed behavior).
-	gate      *overload.Gate
-	shedTotal *metrics.Counter // requests answered StatusBusy
-	connsShed *metrics.Counter // connections rejected at accept
+	id      int
+	store   *Store
+	metrics *metrics.Registry
+	srv     *connServer // listener, connections and admission (server.go)
 
 	// Hot-path counters, resolved once: registry lookups (mutex + name
 	// hash) are too expensive to repeat on every request.
@@ -54,12 +46,6 @@ type Backend struct {
 	// nil for memory-only nodes. Closed by Close after handlers drain,
 	// so every logged mutation gets its final fsync.
 	wal *wal.Log
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]bool
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewBackend returns a backend node with the given ID (used only for
@@ -72,18 +58,14 @@ func NewBackend(id int) *Backend {
 // control: requests beyond lim.RateLimit or lim.MaxInflight are shed
 // with StatusBusy (counted in shed_total), and connections beyond
 // lim.MaxConns are closed at accept (busy_conns_rejected_total). A zero
-// lim disables all gating. OpPing and OpStats are exempt from admission
-// so health probes and monitoring still work on a saturated node —
-// that is exactly when they matter.
+// lim disables all gating. OpPing and OpStats are exempt from admission.
 func NewBackendWithLimits(id int, lim overload.Limits) *Backend {
 	reg := metrics.NewRegistry()
-	return &Backend{
+	b := &Backend{
 		id:            id,
 		store:         NewStore(),
 		metrics:       reg,
-		gate:          overload.NewGate(lim),
-		shedTotal:     reg.Counter("shed_total"),
-		connsShed:     reg.Counter("busy_conns_rejected_total"),
+		srv:           newConnServer(fmt.Sprintf("backend %d", id), reg, lim),
 		requestsTotal: reg.Counter("requests_total"),
 		getsTotal:     reg.Counter("gets_total"),
 		hitsTotal:     reg.Counter("hits_total"),
@@ -93,8 +75,14 @@ func NewBackendWithLimits(id int, lim overload.Limits) *Backend {
 		scansTotal:    reg.Counter("scans_total"),
 		casTotal:      reg.Counter("cas_total"),
 		casConflicts:  reg.Counter("cas_conflicts_total"),
-		conns:         make(map[net.Conn]bool),
 	}
+	// Every single-key read is a pure-memory store read, so the full
+	// handler doubles as the fast path.
+	b.srv.handle = b.handle
+	b.srv.exempt = ops(proto.OpPing, proto.OpStats)
+	b.srv.fast = b.handle
+	b.srv.fastOps = ops(proto.OpGet, proto.OpGetV)
+	return b
 }
 
 // Metrics exposes the node's metric registry ("requests_total",
@@ -107,125 +95,16 @@ func (b *Backend) Store() *Store { return b.store }
 // SetIdleTimeout bounds how long a connection may sit between requests
 // before the backend drops it (0 = forever, the default). Clients with a
 // pooled conn that gets dropped recover via their reused-conn retry.
-func (b *Backend) SetIdleTimeout(d time.Duration) { b.idleTimeout.Store(int64(d)) }
+func (b *Backend) SetIdleTimeout(d time.Duration) { b.srv.idleTimeout.Store(int64(d)) }
 
 // Serve accepts connections on l until Close. It always returns a non-nil
 // error (net.ErrClosed after a clean Close).
-func (b *Backend) Serve(l net.Listener) error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		// Close raced ahead of this goroutine and never saw l: close it
-		// here or the port stays bound with nobody accepting (a crashed
-		// node could then never restart on its own address).
-		l.Close()
-		return net.ErrClosed
-	}
-	b.listener = l
-	b.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		// Shed excess connections before they can hold a goroutine: a
-		// connection flood must not starve established clients.
-		if !b.gate.AdmitConn() {
-			b.connsShed.Inc()
-			conn.Close()
-			continue
-		}
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			conn.Close()
-			b.gate.ReleaseConn()
-			return net.ErrClosed
-		}
-		b.conns[conn] = true
-		b.wg.Add(1)
-		b.mu.Unlock()
-		go b.serveConn(conn)
-	}
-}
+func (b *Backend) Serve(l net.Listener) error { return b.srv.serve(l) }
 
-func (b *Backend) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		b.mu.Lock()
-		delete(b.conns, conn)
-		b.mu.Unlock()
-		b.gate.ReleaseConn()
-		b.wg.Done()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	// Per-connection scratch for single-key read payloads: the store
-	// copies value bytes straight into it (Store.AppendValue), so a GET
-	// costs zero allocations instead of one value copy per request. The
-	// response aliasing it is safe because this loop is strictly
-	// sequential — the response is framed and flushed before the next
-	// request is read.
-	scratch := make([]byte, 0, 512)
-	for {
-		if d := time.Duration(b.idleTimeout.Load()); d > 0 {
-			conn.SetReadDeadline(time.Now().Add(d))
-		}
-		req, err := proto.ReadRequest(r)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-				// Malformed input or mid-frame disconnect: drop the
-				// connection (the protocol has no resync point).
-				log.Printf("kvstore: backend %d: read: %v", b.id, err)
-			}
-			return
-		}
-		if req.Corr != 0 {
-			// First correlated frame: this peer pipelines. Hand the conn
-			// to the concurrent dispatcher for the rest of its life.
-			runPipelined(conn, r, req,
-				func() time.Duration { return time.Duration(b.idleTimeout.Load()) },
-				b.pipeDispatch, b.pipeFast, fmt.Sprintf("backend %d", b.id))
-			return
-		}
-		// Admission control. Ping/Stats bypass the gate: probes and
-		// monitoring must keep working on a saturated node. The
-		// in-flight slot is held until the response is flushed, so a
-		// peer draining responses slowly occupies capacity honestly
-		// instead of letting the node over-admit.
-		var resp *proto.Response
-		holding := false
-		switch {
-		case req.Op == proto.OpPing || req.Op == proto.OpStats:
-			resp = b.handle(req, &scratch)
-		case b.gate.Admit():
-			holding = true
-			resp = b.handle(req, &scratch)
-		default:
-			b.shedTotal.Inc()
-			resp = &proto.Response{Status: proto.StatusBusy}
-		}
-		err = proto.WriteResponse(w, resp)
-		if err == nil {
-			err = w.Flush()
-		}
-		if holding {
-			b.gate.Release()
-		}
-		// Both structs are done once the frame is on the wire; the
-		// stored key/value slices they referenced live on unaffected.
-		proto.ReleaseRequest(req)
-		proto.ReleaseResponse(resp)
-		if err != nil {
-			return
-		}
-	}
-}
-
-// handle serves one request. scratch is the connection's reusable
-// payload buffer: responses may alias it, so the caller must finish
-// writing the response before handling the next request (serveConn's
-// loop guarantees this).
+// handle serves one request. Single-key read payloads are copied
+// straight into scratch (Store.AppendValue), so a GET costs zero
+// allocations instead of one value copy; see connServer for the rule
+// that makes returning a response aliasing it safe.
 func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 	b.requestsTotal.Inc()
 	switch req.Op {
@@ -256,7 +135,7 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 			return &proto.Response{Status: proto.StatusNotFound, Payload: buf[:8]}
 		}
 		if len(buf)-8 > proto.MaxValueLen {
-			return errResponse(fmt.Sprintf("backend %d", b.id), req.Op,
+			return errResponse(b.srv.role, req.Op,
 				fmt.Errorf("stored value exceeds %d bytes", proto.MaxValueLen))
 		}
 		b.hitsTotal.Inc()
@@ -314,7 +193,7 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		}
 		payload, err := proto.EncodeMGetPayload(results)
 		if err != nil {
-			return errResponse(fmt.Sprintf("backend %d", b.id), req.Op, err)
+			return errResponse(b.srv.role, req.Op, err)
 		}
 		return &proto.Response{Status: proto.StatusOK, Payload: payload}
 	case proto.OpScan:
@@ -323,19 +202,19 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 			ScanOptions{Tombs: req.ScanTombs, Digest: req.ScanDigest})
 		payload, err := proto.EncodeScanPayload(next, entries)
 		if err != nil {
-			return errResponse(fmt.Sprintf("backend %d", b.id), req.Op, err)
+			return errResponse(b.srv.role, req.Op, err)
 		}
 		return &proto.Response{Status: proto.StatusOK, Payload: payload}
 	case proto.OpStats:
 		blob, err := b.metrics.Snapshot()
 		if err != nil {
-			return errResponse(fmt.Sprintf("backend %d", b.id), req.Op, fmt.Errorf("snapshot: %w", err))
+			return errResponse(b.srv.role, req.Op, fmt.Errorf("snapshot: %w", err))
 		}
 		return &proto.Response{Status: proto.StatusOK, Payload: blob}
 	case proto.OpPing:
 		return &proto.Response{Status: proto.StatusOK}
 	default:
-		return errResponse(fmt.Sprintf("backend %d", b.id), req.Op, errors.New("unsupported op"))
+		return errResponse(b.srv.role, req.Op, errors.New("unsupported op"))
 	}
 }
 
@@ -354,22 +233,10 @@ func errResponse(role string, op proto.Op, err error) *proto.Response {
 // Close stops accepting, closes all connections, and waits for handler
 // goroutines to drain. Safe to call more than once.
 func (b *Backend) Close() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	first, err := b.srv.close()
+	if !first {
 		return nil
 	}
-	b.closed = true
-	l := b.listener
-	for conn := range b.conns {
-		conn.Close()
-	}
-	b.mu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	b.wg.Wait()
 	// All handlers are drained: no more appends. Close the log last so
 	// the final records get their fsync before the process exits.
 	if b.wal != nil {
@@ -390,15 +257,10 @@ func StartBackend(id int, addr string) (*Backend, string, error) {
 // StartBackendWithLimits is StartBackend with server-side overload
 // control (see NewBackendWithLimits).
 func StartBackendWithLimits(id int, addr string, lim overload.Limits) (*Backend, string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("kvstore: backend %d listen: %w", id, err)
-	}
 	b := NewBackendWithLimits(id, lim)
-	go func() {
-		if serr := b.Serve(l); serr != nil && !errors.Is(serr, net.ErrClosed) {
-			log.Printf("kvstore: backend %d serve: %v", id, serr)
-		}
-	}()
-	return b, l.Addr().String(), nil
+	bound, err := b.srv.listenAndServe(addr)
+	if err != nil {
+		return nil, "", err
+	}
+	return b, bound, nil
 }

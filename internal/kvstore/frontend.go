@@ -1,13 +1,10 @@
 package kvstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net"
 	"strings"
 	"sync"
@@ -173,13 +170,10 @@ type Frontend struct {
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
 
-	// Overload control for the frontend's own listener plus the shared
-	// retry budget for its backend clients.
-	gate        *overload.Gate
+	// srv is the frontend's own listener: connections and admission
+	// (server.go). retryBudget is shared by its backend clients.
+	srv         *connServer
 	retryBudget *overload.RetryBudget
-	shedTotal   *metrics.Counter
-	connsShed   *metrics.Counter
-	idleTimeout atomic.Int64 // ns; 0 = no limit
 
 	// cache is the concurrency-safe view of cfg.Cache (nil when caching
 	// is disabled): sharded caches are used directly, single-threaded
@@ -234,12 +228,6 @@ type Frontend struct {
 	// one (membership.go); guarded by rotateMu.
 	tier         *tierState
 	pendingViews []pendingView
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]bool
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // newMemberMapping builds the key->group mapping over a member-ID set
@@ -314,7 +302,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		metrics:     metrics.NewRegistry(),
 		tombs:       make(map[string]struct{}),
 		rotStop:     make(chan struct{}),
-		conns:       make(map[net.Conn]bool),
 		probeStop:   make(chan struct{}),
 		writeQuorum: quorum,
 		hints:       hints,
@@ -342,10 +329,17 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	f.casConflicts = f.metrics.Counter("cas_conflicts_total")
 	f.randState.Store(cfg.PartitionSeed ^ 0x9e3779b97f4a7c15)
 	f.health = newHealthTracker(n, cfg.Health, f.metrics)
-	f.gate = overload.NewGate(cfg.Overload)
-	f.shedTotal = f.metrics.Counter("shed_total")
-	f.connsShed = f.metrics.Counter("busy_conns_rejected_total")
-	f.idleTimeout.Store(int64(cfg.IdleTimeout))
+	f.srv = newConnServer("frontend", f.metrics, cfg.Overload)
+	f.srv.idleTimeout.Store(int64(cfg.IdleTimeout))
+	// Members is exempt beside Ping/Stats: kvload refreshes its address
+	// list on exactly that path while the data plane sheds.
+	f.srv.handle = f.handle
+	f.srv.exempt = ops(proto.OpPing, proto.OpStats, proto.OpMembers)
+	f.srv.fast = f.fast
+	f.srv.fastOps = ops(proto.OpGet)
+	if f.tier != nil {
+		f.srv.load = &f.tier.inflight
+	}
 	ccfg := cfg.Client
 	retries := f.metrics.Counter("retries_total")
 	userOnRetry := ccfg.OnRetry
@@ -440,7 +434,7 @@ func (f *Frontend) Metrics() *metrics.Registry { return f.metrics }
 // SetIdleTimeout bounds how long a client connection may sit between
 // requests before the frontend drops it (0 = forever). Takes effect on
 // each connection's next read.
-func (f *Frontend) SetIdleTimeout(d time.Duration) { f.idleTimeout.Store(int64(d)) }
+func (f *Frontend) SetIdleTimeout(d time.Duration) { f.srv.idleTimeout.Store(int64(d)) }
 
 // Group returns the replica group of a wire key (exposed for tests and
 // the livecluster example, which needs ground truth).
@@ -1032,8 +1026,21 @@ func (f *Frontend) CacheStats() cache.Stats {
 	return f.cache.Stats()
 }
 
-// handle dispatches one wire request.
-func (f *Frontend) handle(req *proto.Request) *proto.Response {
+// fast answers a cache-hit GET without blocking (see connServer). A
+// miss counts nothing here: handle serves it, and counts it, once.
+func (f *Frontend) fast(req *proto.Request, _ *[]byte) *proto.Response {
+	v, _, ok := f.cacheGet(req.Key)
+	if !ok {
+		return nil
+	}
+	f.requestsTotal.Inc()
+	f.cacheHits.Inc()
+	return &proto.Response{Status: proto.StatusOK, Payload: v}
+}
+
+// handle dispatches one wire request. Payloads are fresh or cache-owned
+// slices, so the scratch buffer goes unused.
+func (f *Frontend) handle(req *proto.Request, _ *[]byte) *proto.Response {
 	switch req.Op {
 	case proto.OpGet:
 		v, err := f.Get(req.Key)
@@ -1145,141 +1152,17 @@ func (f *Frontend) handle(req *proto.Request) *proto.Response {
 }
 
 // Serve accepts client connections on l until Close.
-func (f *Frontend) Serve(l net.Listener) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		// Close raced ahead of this goroutine and never saw l: close it
-		// here so the port is not left bound with nobody accepting.
-		l.Close()
-		return net.ErrClosed
-	}
-	f.listener = l
-	f.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		// The frontend applies the same connection cap as backends: a
-		// connection flood is shed at accept, before it can pin a
-		// goroutine.
-		if !f.gate.AdmitConn() {
-			f.connsShed.Inc()
-			conn.Close()
-			continue
-		}
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			conn.Close()
-			f.gate.ReleaseConn()
-			return net.ErrClosed
-		}
-		f.conns[conn] = true
-		f.wg.Add(1)
-		f.mu.Unlock()
-		go f.serveConn(conn)
-	}
-}
-
-func (f *Frontend) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		f.mu.Lock()
-		delete(f.conns, conn)
-		f.mu.Unlock()
-		f.gate.ReleaseConn()
-		f.wg.Done()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		// Idle/read deadline: without it a slow-loris client (connect,
-		// send nothing) holds this goroutine and connection forever —
-		// the backend has had this guard since PR 1; the frontend is
-		// the more exposed listener.
-		if d := time.Duration(f.idleTimeout.Load()); d > 0 {
-			conn.SetReadDeadline(time.Now().Add(d))
-		}
-		req, err := proto.ReadRequest(r)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-				log.Printf("kvstore: frontend read: %v", err)
-			}
-			return
-		}
-		if req.Corr != 0 {
-			// First correlated frame: this peer pipelines. Hand the conn
-			// to the concurrent dispatcher for the rest of its life.
-			runPipelined(conn, r, req,
-				func() time.Duration { return time.Duration(f.idleTimeout.Load()) },
-				f.pipeDispatch, f.pipeFast, "frontend")
-			return
-		}
-		// Admission control mirrors the backend: Ping/Stats/Members
-		// bypass the gate (control plane must answer while the data
-		// plane sheds — kvload refreshes its address list on exactly
-		// this path), everything else is shed with StatusBusy when the
-		// frontend itself is past its limits. The slot is held until
-		// the response is flushed.
-		var resp *proto.Response
-		holding := false
-		ts := f.tier
-		switch {
-		case req.Op == proto.OpPing || req.Op == proto.OpStats || req.Op == proto.OpMembers:
-			resp = f.handle(req)
-		case f.gate.Admit():
-			holding = true
-			if ts != nil {
-				ts.inflight.Add(1)
-			}
-			resp = f.handle(req)
-			if ts != nil {
-				ts.inflight.Add(-1)
-			}
-		default:
-			f.shedTotal.Inc()
-			resp = &proto.Response{Status: proto.StatusBusy}
-		}
-		// Tier mode: piggyback this frontend's in-flight count on every
-		// response frame — the signal TierClient's two-choice pick
-		// compares across a key's candidates. Stamped after the decrement
-		// so a client's own completed request is not still counted.
-		if ts != nil {
-			if n := ts.inflight.Load(); n > 0 {
-				resp.Load = uint32(n)
-			}
-			resp.LoadHinted = true
-		}
-		err = proto.WriteResponse(w, resp)
-		if err == nil {
-			err = w.Flush()
-		}
-		if holding {
-			f.gate.Release()
-		}
-		proto.ReleaseRequest(req)
-		proto.ReleaseResponse(resp)
-		if err != nil {
-			return
-		}
-	}
-}
+func (f *Frontend) Serve(l net.Listener) error { return f.srv.serve(l) }
 
 // Close stops serving and releases backend connections.
 func (f *Frontend) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	// The listener closes before anything below can block: the accept
+	// loop is gone from this point, and a port left bound behind it
+	// would take connections nobody answers.
+	first, err := f.srv.close()
+	if !first {
 		return nil
 	}
-	f.closed = true
-	l := f.listener
-	for conn := range f.conns {
-		conn.Close()
-	}
-	f.mu.Unlock()
 	close(f.probeStop)
 	f.probeWG.Wait()
 	// Stop any in-flight migration before the backend clients close. An
@@ -1287,11 +1170,6 @@ func (f *Frontend) Close() error {
 	// stores' epoch tags); a restart re-observes the skew and re-rotates.
 	close(f.rotStop)
 	f.rotWG.Wait()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	f.wg.Wait()
 	for _, c := range f.fleet.Load().clients {
 		c.Close()
 	}
@@ -1305,14 +1183,10 @@ func StartFrontend(cfg FrontendConfig, addr string) (*Frontend, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	l, err := net.Listen("tcp", addr)
+	bound, err := f.srv.listenAndServe(addr)
 	if err != nil {
-		return nil, "", fmt.Errorf("kvstore: frontend listen: %w", err)
+		f.Close()
+		return nil, "", err
 	}
-	go func() {
-		if serr := f.Serve(l); serr != nil && !errors.Is(serr, net.ErrClosed) {
-			log.Printf("kvstore: frontend serve: %v", serr)
-		}
-	}()
-	return f, l.Addr().String(), nil
+	return f, bound, nil
 }

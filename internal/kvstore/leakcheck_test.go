@@ -51,8 +51,10 @@ func shortenStacks(s string) string {
 
 // TestCloseLeavesNoGoroutines drives real traffic through a full
 // cluster — including the probe loop (one backend is killed so the
-// breaker opens and probing starts) — then closes everything and
-// asserts the process returns to its pre-cluster goroutine count.
+// breaker opens and probing starts) — then closes everything, with an
+// upgraded (pipelined) connection still open on each role so the worker
+// pools and flushers are among what Close must reap, and asserts the
+// process returns to its pre-cluster goroutine count.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	checkGoroutineLeaks(t)
 	lc, err := StartLocalCluster(LocalConfig{
@@ -76,6 +78,13 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		c.Get(testKeyName(i))
 	}
 	c.Close()
+	for _, addr := range []string{lc.FrontendAddr, lc.BackendAddrs[1]} {
+		pc := NewClientWithConfig(addr, ClientConfig{PipelineDepth: 8, MaxRetries: -1})
+		defer pc.Close()
+		if err := pc.Ping(); err != nil {
+			t.Fatalf("pipelined ping %s: %v", addr, err)
+		}
+	}
 	lc.Close()
 }
 

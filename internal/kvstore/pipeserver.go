@@ -1,12 +1,7 @@
 package kvstore
 
-// Server side of the pipelined transport. A connection starts in the
-// strict lockstep loop (serveConn); the first frame carrying a non-zero
-// correlation ID upgrades it permanently to this path. Legacy clients
-// never send the extension, so they never leave lockstep — the upgrade
-// is invisible to them.
-//
-// Per upgraded connection:
+// The pipeline half of connServer: what a connection's read loop
+// (serveConn) feeds once its peer has sent a correlated frame.
 //
 //	read loop ──▶ reqCh ──▶ worker pool ──▶ flushCh ──▶ flusher
 //
@@ -19,14 +14,9 @@ package kvstore
 // propagates to the socket instead of buffering unboundedly.
 
 import (
-	"bufio"
-	"errors"
-	"io"
-	"log"
 	"net"
 	"runtime"
 	"sync"
-	"time"
 
 	"securecache/internal/proto"
 )
@@ -46,28 +36,23 @@ func pipeWorkersPerConn() int {
 	return n
 }
 
-// runPipelined serves an upgraded connection until it errors or closes.
-// first is the frame that triggered the upgrade. dispatch runs one
-// request — including the server's own admission control and metric
-// accounting — and is called concurrently from the worker pool; scratch
-// is per-worker, and the returned response may alias it (the worker
-// encodes the frame before touching the next request, which is what
-// makes the aliasing safe here, exactly as sequencing does in
-// lockstep). idle returns the current idle-timeout setting.
-//
-// fast (optional) is a non-blocking dispatch for requests the server
-// can answer without I/O — a cache-hit GET, a pure-memory store read —
-// returning nil for anything that needs the full path. It is used only
-// when the scheduler has no real parallelism (GOMAXPROCS or NumCPU is
-// 1): there, handing a request to a worker cannot overlap execution
-// anyway, and the two goroutine switches it costs are pure overhead.
-// With real parallelism available the worker pool wins — one conn can
-// fan its requests across cores — so fast is ignored.
-func runPipelined(conn net.Conn, r *bufio.Reader, first *proto.Request,
-	idle func() time.Duration,
-	dispatch, fast func(*proto.Request, *[]byte) *proto.Response,
-	logPrefix string,
-) {
+// connPipe is one upgraded connection's worker pool and flusher.
+type connPipe struct {
+	reqCh   chan *proto.Request
+	flushCh chan proto.Frame
+	workers sync.WaitGroup
+	flusher sync.WaitGroup
+	// inline lets the read loop answer fast ops itself. It is set only
+	// when the scheduler has no real parallelism (GOMAXPROCS or NumCPU
+	// is 1): there, handing a request to a worker cannot overlap
+	// execution anyway, and the two goroutine switches it costs are pure
+	// overhead. With parallelism available the worker pool wins — one
+	// conn can fan its requests across cores.
+	inline bool
+}
+
+// startPipe starts the pipeline of an upgraded connection.
+func (s *connServer) startPipe(conn net.Conn) *connPipe {
 	workers := pipeWorkersPerConn()
 	// Queue depth beyond the worker count is what feeds the batched
 	// flusher: with room for a full client window on both channels, a
@@ -78,109 +63,46 @@ func runPipelined(conn net.Conn, r *bufio.Reader, first *proto.Request,
 	if queue < 64 {
 		queue = 64
 	}
-	reqCh := make(chan *proto.Request, queue)
-	flushCh := make(chan proto.Frame, queue)
-
-	var flusherWG sync.WaitGroup
-	flusherWG.Add(1)
+	p := &connPipe{
+		reqCh:   make(chan *proto.Request, queue),
+		flushCh: make(chan proto.Frame, queue),
+		inline:  runtime.GOMAXPROCS(0) == 1 || runtime.NumCPU() == 1,
+	}
+	p.flusher.Add(1)
 	go func() {
-		defer flusherWG.Done()
-		pipeFlush(conn, flushCh)
+		defer p.flusher.Done()
+		pipeFlush(conn, p.flushCh)
 	}()
-
-	var workerWG sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		workerWG.Add(1)
+		p.workers.Add(1)
 		go func() {
-			defer workerWG.Done()
+			defer p.workers.Done()
 			scratch := make([]byte, 0, 512)
-			for req := range reqCh {
-				resp := dispatch(req, &scratch)
-				resp.Corr = req.Corr
-				frame, err := proto.NewResponseFrame(resp)
-				if err != nil {
-					// Oversized or otherwise unencodable payload: send a
-					// sanitized error in its place so the correlation ID
-					// is answered and the client's window slot frees.
-					log.Printf("kvstore: %s: encoding response: %v", logPrefix, err)
-					frame, err = proto.NewResponseFrame(&proto.Response{
-						Status:  proto.StatusError,
-						Payload: []byte("response encoding failed: internal error"),
-						Corr:    req.Corr,
-					})
+			for req := range p.reqCh {
+				// The gate slot is released when the handler returns
+				// rather than after the flush: with concurrent dispatch
+				// the bounded flush channel is what bounds a slow-draining
+				// peer, so holding the slot across the flush would only
+				// couple admission to an unrelated conn's write stall.
+				resp, slot := s.admit(req, &scratch, s.handle)
+				if slot {
+					s.gate.Release()
 				}
-				// The frame owns an encoded copy; both structs are done.
-				proto.ReleaseRequest(req)
-				proto.ReleaseResponse(resp)
-				if err != nil {
-					continue
-				}
-				flushCh <- frame
+				p.flushCh <- s.encode(req, resp)
 			}
 		}()
 	}
+	return p
+}
 
-	par := runtime.GOMAXPROCS(0)
-	if n := runtime.NumCPU(); n < par {
-		par = n
-	}
-	if par > 1 {
-		fast = nil
-	}
-	var scratch []byte
-	if fast != nil {
-		scratch = make([]byte, 0, 512)
-	}
-
-	reqCh <- first
-	for {
-		if d := idle(); d > 0 {
-			conn.SetReadDeadline(time.Now().Add(d))
-		}
-		req, err := proto.ReadRequest(r)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-				log.Printf("kvstore: %s: read: %v", logPrefix, err)
-			}
-			break
-		}
-		if req.Corr == 0 {
-			// A pipelined peer never reverts to lockstep mid-stream; an
-			// uncorrelated frame here means the stream is corrupt.
-			log.Printf("kvstore: %s: uncorrelated frame on pipelined conn", logPrefix)
-			break
-		}
-		if fast != nil {
-			if resp := fast(req, &scratch); resp != nil {
-				resp.Corr = req.Corr
-				frame, err := proto.NewResponseFrame(resp)
-				if err != nil {
-					// Same substitution as the worker path: answer the
-					// correlation ID with a sanitized error.
-					log.Printf("kvstore: %s: encoding response: %v", logPrefix, err)
-					frame, err = proto.NewResponseFrame(&proto.Response{
-						Status:  proto.StatusError,
-						Payload: []byte("response encoding failed: internal error"),
-						Corr:    req.Corr,
-					})
-				}
-				proto.ReleaseRequest(req)
-				proto.ReleaseResponse(resp)
-				if err == nil {
-					flushCh <- frame
-				}
-				continue
-			}
-		}
-		reqCh <- req
-	}
-	// Orderly drain: no new requests, let workers finish what they
-	// took, then let the flusher write (or discard, if the conn died)
-	// what they produced.
-	close(reqCh)
-	workerWG.Wait()
-	close(flushCh)
-	flusherWG.Wait()
+// drain is the orderly shutdown once the read loop has stopped: no new
+// requests, let workers finish what they took, then let the flusher
+// write (or discard, if the conn died) what they produced.
+func (p *connPipe) drain() {
+	close(p.reqCh)
+	p.workers.Wait()
+	close(p.flushCh)
+	p.flusher.Wait()
 }
 
 // pipeFlush writes completed frames in completion order, coalescing
@@ -227,113 +149,4 @@ func pipeFlush(conn net.Conn, flushCh <-chan proto.Frame) {
 			dead = true
 		}
 	}
-}
-
-// pipeFast answers pure-memory reads inline on the read goroutine (see
-// runPipelined's fast parameter). Gate accounting is identical to
-// pipeDispatch — a shed here is the same StatusBusy the full path
-// would produce, just cheaper.
-func (b *Backend) pipeFast(req *proto.Request, scratch *[]byte) *proto.Response {
-	if req.Op != proto.OpGet && req.Op != proto.OpGetV {
-		return nil
-	}
-	if !b.gate.Admit() {
-		b.shedTotal.Inc()
-		return &proto.Response{Status: proto.StatusBusy}
-	}
-	resp := b.handle(req, scratch)
-	b.gate.Release()
-	return resp
-}
-
-// pipeDispatch is the backend's per-request path on an upgraded conn:
-// the same admission and handler logic as the lockstep loop. The gate
-// slot is released when the handler returns rather than after the
-// flush — with concurrent dispatch the bounded flush channel is what
-// bounds a slow-draining peer, so holding the slot across the flush
-// would only couple admission to an unrelated conn's write stall.
-func (b *Backend) pipeDispatch(req *proto.Request, scratch *[]byte) *proto.Response {
-	switch {
-	case req.Op == proto.OpPing || req.Op == proto.OpStats:
-		return b.handle(req, scratch)
-	case b.gate.Admit():
-		resp := b.handle(req, scratch)
-		b.gate.Release()
-		return resp
-	default:
-		b.shedTotal.Inc()
-		return &proto.Response{Status: proto.StatusBusy}
-	}
-}
-
-// pipeFast answers cache-hit GETs inline on the read goroutine (see
-// runPipelined's fast parameter); a miss, or any other op, falls
-// through to the worker path untouched — including its metric
-// accounting, which only ever counts a request once.
-func (f *Frontend) pipeFast(req *proto.Request, _ *[]byte) *proto.Response {
-	if req.Op != proto.OpGet {
-		return nil
-	}
-	ts := f.tier
-	var resp *proto.Response
-	if f.gate.Admit() {
-		if ts != nil {
-			ts.inflight.Add(1)
-		}
-		v, _, ok := f.cacheGet(req.Key)
-		if ok {
-			f.requestsTotal.Inc()
-			f.cacheHits.Inc()
-			resp = &proto.Response{Status: proto.StatusOK, Payload: v}
-		}
-		if ts != nil {
-			ts.inflight.Add(-1)
-		}
-		f.gate.Release()
-		if resp == nil {
-			return nil // cache miss: the full path re-admits and counts
-		}
-	} else {
-		f.shedTotal.Inc()
-		resp = &proto.Response{Status: proto.StatusBusy}
-	}
-	if ts != nil {
-		if n := ts.inflight.Load(); n > 0 {
-			resp.Load = uint32(n)
-		}
-		resp.LoadHinted = true
-	}
-	return resp
-}
-
-// pipeDispatch is the frontend's per-request path on an upgraded conn;
-// see the backend variant for the gate-release rationale. Tier load
-// hints are stamped exactly as in lockstep — every response carries
-// the instantaneous in-flight count.
-func (f *Frontend) pipeDispatch(req *proto.Request, _ *[]byte) *proto.Response {
-	ts := f.tier
-	var resp *proto.Response
-	switch {
-	case req.Op == proto.OpPing || req.Op == proto.OpStats || req.Op == proto.OpMembers:
-		resp = f.handle(req)
-	case f.gate.Admit():
-		if ts != nil {
-			ts.inflight.Add(1)
-		}
-		resp = f.handle(req)
-		if ts != nil {
-			ts.inflight.Add(-1)
-		}
-		f.gate.Release()
-	default:
-		f.shedTotal.Inc()
-		resp = &proto.Response{Status: proto.StatusBusy}
-	}
-	if ts != nil {
-		if n := ts.inflight.Load(); n > 0 {
-			resp.Load = uint32(n)
-		}
-		resp.LoadHinted = true
-	}
-	return resp
 }
