@@ -47,13 +47,17 @@ chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/kvstore/... && \
 	$(GO) test -race ./internal/faultnet/...
 
-# WAL crash matrix: the storage engine's own tests (torn tails,
-# mid-segment corruption, hint fallback, merge interruption) plus the
-# kvstore crash-point suite (kill -9 torn tail, quarantine-and-refill,
-# warm restart with zero repair traffic), all under -race.
+# WAL crash matrix — the whole of the one persistence path: the storage
+# engine's own tests (torn tails, mid-segment corruption, hint fallback,
+# merge interruption), the kvstore crash-point suite (kill -9 torn tail,
+# quarantine-and-refill, warm restart with zero repair traffic, crash
+# recovery and stale-replica convergence from a data dir), the snapshot
+# import tests (all-or-nothing, logged and fsynced, hostile input), and
+# kvnode's own boot import and SIGTERM shutdown, all under -race.
 wal:
 	$(GO) test -race ./internal/wal/... && \
-	$(GO) test -race -v -run 'TestChaosWarmRestart|TestChaosKill9|TestChaosCorruptionQuarantine|TestChaosTruncatedHint' ./internal/kvstore/
+	$(GO) test -race -v -run 'TestChaosWarmRestart|TestChaosKill9|TestChaosCorruptionQuarantine|TestChaosTruncatedHint|TestBackendCrashRecovery|TestStaleReplicaConvergesAfterPartialSet|TestSnapshot|TestLoadSnapshot' ./internal/kvstore/ && \
+	$(GO) test -race ./cmd/kvnode/
 
 # Elastic-membership matrix: live join/drain, breaker-state rebuild on
 # view commit, the moved-fraction regression, join rollback on a dead

@@ -4,9 +4,10 @@
 // OpCas frames carry an expected version and return the current one on
 // conflict, so read-modify-write cycles stay lost-update-free across
 // the quorum). By default state lives in memory only; -data-dir attaches
-// a write-ahead log so a crashed node replays back to its exact
-// pre-crash keyset instead of rejoining empty and being refilled over
-// the network.
+// a write-ahead log, the node's only durability mechanism, so a crashed
+// node replays back to its exact pre-crash keyset instead of rejoining
+// empty and being refilled over the network. -snapshot imports a
+// snapshot file once into an empty data dir (all or nothing, fsynced).
 //
 // Usage:
 //
@@ -38,8 +39,7 @@ func main() {
 		id       = flag.Int("id", 0, "node ID (for logs/stats)")
 		listen   = flag.String("listen", "127.0.0.1:7001", "listen address")
 		admin    = flag.String("admin", "", "optional HTTP admin address (/healthz, /metrics, /info)")
-		snapshot = flag.String("snapshot", "", "snapshot file: restored at startup if present, written on shutdown")
-		snapEach = flag.Duration("snapshot-interval", 0, "also write the snapshot periodically at this interval (0 = shutdown only; needs -snapshot)")
+		snapshot = flag.String("snapshot", "", "snapshot file to import once at startup into an empty -data-dir (skipped when the WAL replays data; needs -data-dir)")
 		idle     = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = keep forever)")
 
 		dataDir  = flag.String("data-dir", "", "write-ahead log directory: replayed at startup, every write logged (empty = memory-only)")
@@ -57,6 +57,10 @@ func main() {
 		admitWait   = flag.Duration("admission-wait", 0, "how long a request may wait for an in-flight slot before being shed (0 = default, negative = none)")
 	)
 	flag.Parse()
+	if *snapshot != "" && *dataDir == "" {
+		fmt.Fprintln(os.Stderr, "kvnode: -snapshot needs -data-dir")
+		os.Exit(2)
+	}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -73,7 +77,6 @@ func main() {
 	node.SetIdleTimeout(*idle)
 	log.Printf("kvnode %d listening on %s", *id, l.Addr())
 
-	walReplayed := false
 	if *dataDir != "" {
 		recovered, err := node.OpenData(*dataDir, wal.Options{
 			SegmentBytes:    *walSeg,
@@ -93,7 +96,6 @@ func main() {
 			log.Printf("kvnode %d: data dir %s was corrupt — quarantined to %s.corrupt, starting empty for repair",
 				*id, *dataDir, *dataDir)
 		case st.Replayed > 0:
-			walReplayed = true
 			log.Printf("kvnode %d: replayed %d keys from %s (%d torn records truncated, %d hint loads, %d hint fallbacks)",
 				*id, st.Replayed, *dataDir, st.TornTruncations, st.HintLoads, st.HintFallbacks)
 		default:
@@ -101,36 +103,23 @@ func main() {
 		}
 	}
 
-	if *snapshot != "" && walReplayed {
-		// The WAL holds every write the snapshot does and more (it sees
-		// each mutation, the snapshot only period boundaries): the log is
-		// the source of truth once it has content. The snapshot file keeps
-		// being written (shutdown/periodic) as an operator artifact.
-		log.Printf("kvnode %d: WAL replayed; skipping snapshot restore from %s", *id, *snapshot)
+	if *snapshot != "" && node.WAL().Stats().Replayed > 0 {
+		// One-shot import: once the log holds data it is the node's state.
+		log.Printf("kvnode %d: WAL replayed; skipping snapshot import from %s", *id, *snapshot)
 	} else if *snapshot != "" {
-		// With an attached (empty) WAL this load is also the migration
-		// path: restored entries write through into the log, so the next
-		// boot replays them without the snapshot.
 		switch err := node.LoadSnapshot(*snapshot); {
 		case err == nil:
-			log.Printf("kvnode %d restored %d keys from %s", *id, node.Store().Len(), *snapshot)
-		case os.IsNotExist(err):
-			log.Printf("kvnode %d: no snapshot at %s, starting empty", *id, *snapshot)
-		default:
-			// A corrupt or truncated snapshot must not keep the node down:
-			// an empty replica rejoins and is refilled by hinted handoff
-			// and anti-entropy, while a crash-looping one serves nobody.
-			log.Printf("kvnode %d: snapshot %s unreadable (%v), starting empty", *id, *snapshot, err)
-		}
-	}
-	if *snapEach > 0 {
-		if *snapshot == "" {
-			fmt.Fprintln(os.Stderr, "kvnode: -snapshot-interval needs -snapshot")
+			log.Printf("kvnode %d imported %d keys from %s", *id, node.Store().Len(), *snapshot)
+		case os.IsNotExist(err) || errors.Is(err, kvstore.ErrBadSnapshot):
+			// Nothing was imported. A missing or corrupt snapshot must not
+			// keep the node down: an empty replica rejoins and is refilled
+			// by hinted handoff and anti-entropy, while a crash-looping one
+			// serves nobody.
+			log.Printf("kvnode %d: snapshot %s not imported (%v), starting empty", *id, *snapshot, err)
+		default: // unopenable file, or the log could not make the import durable
+			fmt.Fprintln(os.Stderr, "kvnode:", err)
 			os.Exit(2)
 		}
-		stop := node.StartSnapshots(*snapshot, *snapEach)
-		defer stop()
-		log.Printf("kvnode %d: snapshotting to %s every %s", *id, *snapshot, *snapEach)
 	}
 
 	if *admin != "" {
@@ -155,24 +144,25 @@ func main() {
 		go joinCluster(*joinVia, selfAddr, *id)
 	}
 
+	// Registered before Serve, so SIGTERM after any answered request reaches Close.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	closed := make(chan error, 1)
 	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		log.Printf("kvnode %d shutting down", *id)
-		if *snapshot != "" {
-			if err := node.SaveSnapshot(*snapshot); err != nil {
-				log.Printf("kvnode %d: snapshot: %v", *id, err)
-			} else {
-				log.Printf("kvnode %d: snapshot saved to %s", *id, *snapshot)
-			}
-		}
-		node.Close()
+		closed <- node.Close()
 	}()
 
 	if err := node.Serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
 		log.Fatalf("kvnode %d: %v", *id, err)
 	}
+	// Serve returns once Close shuts the listener, before Close has
+	// drained handlers and given the WAL its final fsync: wait for it.
+	if err := <-closed; err != nil {
+		log.Fatalf("kvnode %d: close: %v", *id, err)
+	}
+	log.Printf("kvnode %d stopped", *id)
 }
 
 // joinCluster asks the frontend's admin surface to admit this node,

@@ -65,8 +65,18 @@ func TestTransparentForwarding(t *testing.T) {
 	if err != nil || !bytes.Equal(got, msg) {
 		t.Fatalf("echo through clear proxy = %q, %v", got, err)
 	}
-	if acc, _, fwd := statsOf(p); acc != 1 || fwd < uint64(2*len(msg)) {
-		t.Fatalf("stats: accepted %d, forwarded %d bytes", acc, fwd)
+	// The proxy counts a chunk after writing it on, so the echo can reach
+	// the client before the return leg is counted: poll for the count.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		acc, _, fwd := statsOf(p)
+		if acc == 1 && fwd >= uint64(2*len(msg)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats: accepted %d, forwarded %d bytes", acc, fwd)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sync"
 	"time"
 
 	"securecache/internal/metrics"
@@ -39,8 +38,6 @@ type Backend struct {
 	scansTotal    *metrics.Counter
 	casTotal      *metrics.Counter
 	casConflicts  *metrics.Counter
-
-	snapMu sync.Mutex // serializes SaveSnapshot (periodic loop vs shutdown save)
 
 	// wal is the node's write-ahead log when it runs durable (OpenData);
 	// nil for memory-only nodes. Closed by Close after handlers drain,

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -100,20 +99,8 @@ func crashNode2(backends []*Backend, proxy *faultnet.Proxy) {
 // close/rebind race) and heals the proxy.
 func restartNode2(t *testing.T, backends []*Backend, proxy *faultnet.Proxy, crashAddr string) *Backend {
 	t.Helper()
-	var (
-		b2  *Backend
-		err error
-	)
-	for attempt := 0; ; attempt++ {
-		b2, _, err = StartBackend(2, crashAddr)
-		if err == nil {
-			break
-		}
-		if attempt == 50 {
-			t.Fatalf("restart node 2: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	b2 := NewBackend(2)
+	serveBackend(t, b2, crashAddr)
 	backends[2] = b2
 	proxy.Clear()
 	return b2
@@ -363,10 +350,10 @@ func TestPartialDelCannotResurrect(t *testing.T) {
 }
 
 // TestStaleReplicaConvergesAfterPartialSet pins the stale-read
-// regression end to end, through the crash-safe snapshot machinery: a
-// replica crashes with the OLD value durably on disk, misses an
-// overwrite, restarts from its snapshot (stale, not empty), and the
-// queued hint must out-version the restored entry and converge it.
+// regression end to end, through the node's write-ahead log: a replica
+// crashes with the OLD value in its log, misses an overwrite, restarts
+// from its data dir (stale, not empty), and the queued hint must
+// out-version the replayed entry and converge it.
 func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 	checkGoroutineLeaks(t)
 	backends, addrs, proxy, crashAddr := crashableCluster(t, 3)
@@ -376,6 +363,12 @@ func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 		}
 	}()
 	defer proxy.Close()
+	// Node 2 runs durable. No request has reached it yet, so attaching
+	// the log now is the same as attaching it before Serve.
+	dataDir := filepath.Join(t.TempDir(), "node2")
+	if _, err := backends[2].OpenData(dataDir, walTestOpts()); err != nil {
+		t.Fatal(err)
+	}
 	f, err := NewFrontend(FrontendConfig{
 		BackendAddrs:   addrs,
 		Replication:    3, // W defaults to 2
@@ -397,11 +390,11 @@ func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 	if !ok || oldVer == 0 {
 		t.Fatalf("node 2 missing the seeded write (ok=%v ver=%d)", ok, oldVer)
 	}
-	snap := filepath.Join(t.TempDir(), "node2.snap")
-	if err := backends[2].SaveSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	crashNode2(backends, proxy)
+	// kill -9: node 2 becomes unreachable and its process dies without
+	// closing (or fsyncing) the log.
+	proxy.SetFaults(faultnet.Faults{Blackhole: true, RejectConns: true})
+	proxy.CloseExisting()
+	backends[2].srv.close()
 
 	// The overwrite reaches only the two survivors: quorum met, hint
 	// queued for node 2.
@@ -412,29 +405,18 @@ func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 		t.Fatal("no hint queued for the crashed replica")
 	}
 
-	// Restart node 2 from its crash-consistent snapshot: it comes back
-	// holding "old" — at its original version, which is what lets the
-	// hint win deterministically.
+	// Restart node 2 from its data dir: it replays "old" — at its
+	// original version, which is what lets the hint win
+	// deterministically.
 	b2 := NewBackend(2)
-	if err := b2.LoadSnapshot(snap); err != nil {
+	if _, err := b2.OpenData(dataDir, walTestOpts()); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, ver, _, ok := b2.Store().GetVersioned(key); !ok || ver != oldVer || !bytes.Equal(v, []byte("old")) {
-		t.Fatalf("snapshot restore lost version fidelity: %q ver=%d ok=%v (want %q ver=%d)",
+		t.Fatalf("WAL replay lost version fidelity: %q ver=%d ok=%v (want %q ver=%d)",
 			v, ver, ok, "old", oldVer)
 	}
-	var l net.Listener
-	for attempt := 0; ; attempt++ {
-		l, err = net.Listen("tcp", crashAddr)
-		if err == nil {
-			break
-		}
-		if attempt == 50 {
-			t.Fatalf("rebind node 2: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	go func() { _ = b2.Serve(l) }()
+	serveBackend(t, b2, crashAddr)
 	backends[2] = b2
 	proxy.Clear()
 

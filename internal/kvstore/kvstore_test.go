@@ -530,14 +530,6 @@ func TestFrontendUnsupportedOpOverWire(t *testing.T) {
 	}
 }
 
-func TestSaveSnapshotBadPath(t *testing.T) {
-	b := NewBackend(0)
-	defer b.Close()
-	if err := b.SaveSnapshot("/nonexistent-dir-xyz/file.snap"); err == nil {
-		t.Error("snapshot to unwritable path accepted")
-	}
-}
-
 func TestBackendStatsOverWireWithMGetCounters(t *testing.T) {
 	b, addr, err := StartBackend(9, "127.0.0.1:0")
 	if err != nil {

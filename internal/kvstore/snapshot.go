@@ -6,16 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"time"
 
 	"securecache/internal/proto"
 )
 
+// Snapshots are an import format, not a durability mechanism: a node's
+// state is made durable only by its write-ahead log (wal.go), and a
+// snapshot file is read once, into an empty node, to seed that log.
+//
 // Snapshot format:
 //
 //	magic   "SCKV" (4 bytes)
@@ -28,15 +27,11 @@ import (
 //           then, for live entries (flags bit 0 clear):
 //           [uint32 value length][value]
 //
-// v2 persists each entry's logical version, epoch tag, and tombstone
-// flag so a crash-restart cannot silently shed delete markers (which
-// would let anti-entropy resurrect deleted keys) or version history
-// (which would let hint replay clobber newer values). v1 snapshots are
-// still readable: they restore as unversioned epoch-0 data, exactly what
-// that format encoded.
-//
-// Keys are written in sorted order so snapshots of equal content are
-// byte-identical — replicas can be compared with a plain checksum.
+// v2 carries each entry's logical version, epoch tag, and tombstone
+// flag so an import cannot silently shed delete markers (which would let
+// anti-entropy resurrect deleted keys) or version history (which would
+// let hint replay clobber newer values). v1 entries import as
+// unversioned epoch-0 data, exactly what that format encoded.
 
 var snapMagic = [4]byte{'S', 'C', 'K', 'V'}
 
@@ -50,139 +45,98 @@ const (
 // ErrBadSnapshot reports a corrupt or foreign snapshot stream.
 var ErrBadSnapshot = errors.New("kvstore: bad snapshot")
 
-// WriteSnapshot serializes the store's full contents (format v2).
-// Concurrent writes during the snapshot are permitted; each shard is
-// captured atomically but the snapshot as a whole is a fuzzy
-// point-in-time picture (the same guarantee Redis' BGSAVE gives).
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	type kv struct {
-		k string
-		e entry
-	}
-	var entries []kv
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.m {
-			e.val = append([]byte(nil), e.val...)
-			entries = append(entries, kv{k, e})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapMagic[:]); err != nil {
-		return err
-	}
-	var hdr [10]byte
-	binary.BigEndian.PutUint16(hdr[0:], snapV2)
-	binary.BigEndian.PutUint64(hdr[2:], uint64(len(entries)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [13]byte
-	for _, kv := range entries {
-		binary.BigEndian.PutUint32(buf[:4], uint32(len(kv.k)))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(kv.k); err != nil {
-			return err
-		}
-		var flags byte
-		if kv.e.tomb {
-			flags = snapEntryTomb
-		}
-		buf[0] = flags
-		binary.BigEndian.PutUint64(buf[1:9], kv.e.ver)
-		binary.BigEndian.PutUint32(buf[9:13], kv.e.epoch)
-		if _, err := bw.Write(buf[:13]); err != nil {
-			return err
-		}
-		if kv.e.tomb {
-			continue
-		}
-		binary.BigEndian.PutUint32(buf[:4], uint32(len(kv.e.val)))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(kv.e.val); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+// snapEntry is one decoded snapshot entry, held until the whole stream
+// has validated. v1 entries decode with epoch and version 0.
+type snapEntry struct {
+	key   string
+	value []byte
+	epoch uint32
+	ver   uint64
+	tomb  bool
 }
 
-// ReadSnapshot loads entries from a snapshot stream into the store,
-// overwriting keys that already exist and keeping others — call it on an
-// empty store for an exact restore. The reader treats the stream as
+// ReadSnapshot imports a snapshot stream into the store, all or nothing:
+// the whole stream is decoded and validated before the first entry is
+// applied, so a corrupt or truncated stream returns ErrBadSnapshot and
+// leaves the store — and the log attached to it — untouched. Entries
+// apply as versioned writes over whatever the store holds; import into
+// an empty store for an exact restore. The reader treats the stream as
 // untrusted: length fields are bounded by the wire-format limits
 // (proto.MaxKeyLen / proto.MaxValueLen) and allocations grow with bytes
 // actually read, so a hostile header claiming 2^32-byte chunks or 2^64
 // entries costs the attacker bandwidth, not the node memory.
 func (s *Store) ReadSnapshot(r io.Reader) error {
+	entries, err := decodeSnapshot(r)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.tomb {
+			s.DeleteVersioned(e.key, e.epoch, e.ver)
+		} else {
+			s.SetVersioned(e.key, e.value, e.epoch, e.ver)
+		}
+	}
+	return nil
+}
+
+// decodeSnapshot decodes and validates a whole snapshot stream.
+func decodeSnapshot(r io.Reader) ([]snapEntry, error) {
 	br := bufio.NewReader(r)
 	var m4 [4]byte
 	if _, err := io.ReadFull(br, m4[:]); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if m4 != snapMagic {
-		return fmt.Errorf("%w: magic %q", ErrBadSnapshot, m4)
+		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, m4)
 	}
 	var hdr [10]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	ver := binary.BigEndian.Uint16(hdr[0:])
 	if ver != snapV1 && ver != snapV2 {
-		return fmt.Errorf("%w: version %d", ErrBadSnapshot, ver)
+		return nil, fmt.Errorf("%w: version %d", ErrBadSnapshot, ver)
 	}
 	count := binary.BigEndian.Uint64(hdr[2:])
 	var lenBuf [4]byte
 	var meta [13]byte
+	var entries []snapEntry
 	for i := uint64(0); i < count; i++ {
 		key, err := readChunk(br, lenBuf[:], proto.MaxKeyLen)
 		if err != nil {
-			return fmt.Errorf("%w: entry %d key: %v", ErrBadSnapshot, i, err)
+			return nil, fmt.Errorf("%w: entry %d key: %v", ErrBadSnapshot, i, err)
 		}
 		if len(key) == 0 {
 			// No client can write an empty key through the wire, so the
-			// stream cannot be a snapshot this node ever produced: corrupt.
+			// stream cannot hold a keyspace any node ever served: corrupt.
 			// (Accepting it would plant a key unreachable by the protocol.)
-			return fmt.Errorf("%w: entry %d: empty key", ErrBadSnapshot, i)
+			return nil, fmt.Errorf("%w: entry %d: empty key", ErrBadSnapshot, i)
 		}
-		if ver == snapV1 {
-			value, err := readChunk(br, lenBuf[:], proto.MaxValueLen)
-			if err != nil {
-				return fmt.Errorf("%w: entry %d value: %v", ErrBadSnapshot, i, err)
+		e := snapEntry{key: string(key)}
+		if ver == snapV2 {
+			if _, err := io.ReadFull(br, meta[:]); err != nil {
+				return nil, fmt.Errorf("%w: entry %d meta: %v", ErrBadSnapshot, i, err)
 			}
-			s.Set(string(key), value)
-			continue
-		}
-		if _, err := io.ReadFull(br, meta[:]); err != nil {
-			return fmt.Errorf("%w: entry %d meta: %v", ErrBadSnapshot, i, err)
-		}
-		flags := meta[0]
-		if flags&^byte(snapEntryTomb) != 0 {
-			return fmt.Errorf("%w: entry %d flags %#x", ErrBadSnapshot, i, flags)
-		}
-		entVer := binary.BigEndian.Uint64(meta[1:9])
-		entEpoch := binary.BigEndian.Uint32(meta[9:13])
-		if flags&snapEntryTomb != 0 {
-			if entVer == 0 {
-				return fmt.Errorf("%w: entry %d tombstone with version 0", ErrBadSnapshot, i)
+			flags := meta[0]
+			if flags&^byte(snapEntryTomb) != 0 {
+				return nil, fmt.Errorf("%w: entry %d flags %#x", ErrBadSnapshot, i, flags)
 			}
-			s.DeleteVersioned(string(key), entEpoch, entVer)
-			continue
+			e.ver = binary.BigEndian.Uint64(meta[1:9])
+			e.epoch = binary.BigEndian.Uint32(meta[9:13])
+			e.tomb = flags&snapEntryTomb != 0
+			if e.tomb && e.ver == 0 {
+				return nil, fmt.Errorf("%w: entry %d tombstone with version 0", ErrBadSnapshot, i)
+			}
 		}
-		value, err := readChunk(br, lenBuf[:], proto.MaxValueLen)
-		if err != nil {
-			return fmt.Errorf("%w: entry %d value: %v", ErrBadSnapshot, i, err)
+		if !e.tomb {
+			if e.value, err = readChunk(br, lenBuf[:], proto.MaxValueLen); err != nil {
+				return nil, fmt.Errorf("%w: entry %d value: %v", ErrBadSnapshot, i, err)
+			}
 		}
-		s.SetVersioned(string(key), value, entEpoch, entVer)
+		entries = append(entries, e)
 	}
-	return nil
+	return entries, nil
 }
 
 // readChunk reads a length-prefixed chunk, rejecting lengths over max.
@@ -212,97 +166,25 @@ func readChunk(r io.Reader, lenBuf []byte, max int) ([]byte, error) {
 	return buf, nil
 }
 
-// SaveSnapshot writes the backend's store to path atomically: temp file,
-// fsync, rename, directory fsync. A crash mid-write leaves the previous
-// snapshot intact; a crash after the rename leaves the new one durable —
-// the directory fsync is what makes that second half true, since without
-// it the rename itself can be lost on power failure and the path would
-// quietly point at the old (or no) snapshot.
-func (b *Backend) SaveSnapshot(path string) error {
-	// Serialize saves: the periodic loop and an explicit shutdown save
-	// share the temp path, and interleaved writes would rename garbage
-	// over the good snapshot.
-	b.snapMu.Lock()
-	defer b.snapMu.Unlock()
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := b.store.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncParentDir(path)
-}
-
-// syncParentDir fsyncs the directory containing path, making a rename
-// into it durable.
-func syncParentDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// LoadSnapshot restores the backend's store from path.
+// LoadSnapshot imports the snapshot file at path into the backend — the
+// one-shot way to seed a node from a snapshot, run before Serve. The
+// import is all or nothing (ReadSnapshot). With a write-ahead log
+// attached every imported entry is logged, and LoadSnapshot returns only
+// after the log is fsynced: from then on the log alone holds the node's
+// state, and the snapshot file is no longer needed.
 func (b *Backend) LoadSnapshot(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return b.store.ReadSnapshot(f)
-}
-
-// StartSnapshots saves the store to path every interval on a background
-// goroutine until the returned stop function is called. Each save is
-// atomic (SaveSnapshot), so a crash between ticks loses at most one
-// interval of writes and never corrupts the previous snapshot. A failed
-// save is logged and retried at the next tick — a full disk must not
-// kill a serving node. stop blocks until the loop exits; it does not
-// write a final snapshot (callers wanting shutdown durability save
-// explicitly, as cmd/kvnode does on SIGTERM).
-func (b *Backend) StartSnapshots(path string, interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if err := b.SaveSnapshot(path); err != nil {
-					log.Printf("kvstore: backend %d: snapshot %s: %v", b.id, path, err)
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
+	if err := b.store.ReadSnapshot(f); err != nil {
+		return err
 	}
+	if b.wal != nil {
+		if err := b.wal.Sync(); err != nil {
+			return fmt.Errorf("kvstore: backend %d: sync imported snapshot: %w", b.id, err)
+		}
+	}
+	return nil
 }

@@ -2,13 +2,53 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"securecache/internal/proto"
 )
+
+// encodeSnapshot writes s as a v2 snapshot stream. Nodes no longer
+// write snapshots (the WAL is their only durability mechanism); this
+// encoder exists so the import tests and the fuzz seeds have streams to
+// read.
+func encodeSnapshot(s *Store) []byte {
+	var entries []proto.ScanEntry
+	for cursor := uint64(0); ; {
+		page, next := s.Scan(cursor, 512, 0, 0, ScanOptions{Tombs: true})
+		entries = append(entries, page...)
+		if next == 0 {
+			break
+		}
+		cursor = next
+	}
+	var b []byte
+	b = append(b, snapMagic[:]...)
+	b = binary.BigEndian.AppendUint16(b, snapV2)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(entries)))
+	for _, e := range entries {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(e.Key)))
+		b = append(b, e.Key...)
+		var flags byte
+		if e.Tomb {
+			flags = snapEntryTomb
+		}
+		b = append(b, flags)
+		b = binary.BigEndian.AppendUint64(b, e.Ver)
+		b = binary.BigEndian.AppendUint32(b, e.Epoch)
+		if !e.Tomb {
+			b = binary.BigEndian.AppendUint32(b, uint32(len(e.Value)))
+			b = append(b, e.Value...)
+		}
+	}
+	return b
+}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := NewStore()
@@ -17,12 +57,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	src.Set("empty", nil)
 
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	dst := NewStore()
-	if err := dst.ReadSnapshot(&buf); err != nil {
+	if err := dst.ReadSnapshot(bytes.NewReader(encodeSnapshot(src))); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != src.Len() {
@@ -37,27 +73,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if v, ok := dst.Get("empty"); !ok || len(v) != 0 {
 		t.Error("empty value lost")
-	}
-}
-
-func TestSnapshotDeterministic(t *testing.T) {
-	// Equal content -> byte-identical snapshots (sorted key order).
-	a, b := NewStore(), NewStore()
-	for i := 0; i < 100; i++ {
-		a.Set(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	for i := 99; i >= 0; i-- { // reverse insertion order
-		b.Set(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	var bufA, bufB bytes.Buffer
-	if err := a.WriteSnapshot(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteSnapshot(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
-		t.Error("snapshots of equal content differ")
 	}
 }
 
@@ -77,25 +92,23 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 func TestSnapshotTruncated(t *testing.T) {
 	src := NewStore()
 	src.Set("k", []byte("v"))
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encodeSnapshot(src)
 	if err := NewStore().ReadSnapshot(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
 }
 
+// TestBackendCrashRecovery: a durable backend takes writes over the
+// wire and dies without closing its log (kill -9: listener and conns
+// gone, no final fsync, no hint file). A fresh backend on the same data
+// dir replays every key with its version.
 func TestBackendCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "node0.snap")
-
-	// Run a backend, write data through the wire, snapshot, kill it.
-	b1, addr, err := StartBackend(0, "127.0.0.1:0")
-	if err != nil {
+	dir := filepath.Join(t.TempDir(), "node0")
+	b1 := NewBackend(0)
+	if _, err := b1.OpenData(dir, walTestOpts()); err != nil {
 		t.Fatal(err)
 	}
+	addr := serveBackend(t, b1, "127.0.0.1:0")
 	c := NewClient(addr)
 	for i := 0; i < 50; i++ {
 		if err := c.Set(fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
@@ -103,27 +116,39 @@ func TestBackendCrashRecovery(t *testing.T) {
 		}
 	}
 	c.Close()
-	if err := b1.SaveSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	b1.Close()
+	want := storeFingerprint(b1.Store())
+	b1.srv.close() // the log is abandoned, never synced or closed
 
-	// "Restart": a fresh backend restoring from the snapshot.
-	b2, addr2, err := StartBackend(0, "127.0.0.1:0")
-	if err != nil {
+	b2 := NewBackend(0)
+	if _, err := b2.OpenData(dir, walTestOpts()); err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	if err := b2.LoadSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewClient(addr2)
+	diffFingerprints(t, want, storeFingerprint(b2.Store()))
+	c2 := NewClient(serveBackend(t, b2, "127.0.0.1:0"))
 	defer c2.Close()
 	for i := 0; i < 50; i++ {
 		v, err := c2.Get(fmt.Sprintf("k%02d", i))
 		if err != nil || string(v) != "v" {
 			t.Fatalf("key k%02d after recovery: %q, %v", i, v, err)
 		}
+	}
+}
+
+// serveBackend listens on addr (retrying out a close/rebind race on a
+// fixed port) and serves b on a background goroutine.
+func serveBackend(t *testing.T, b *Backend, addr string) string {
+	t.Helper()
+	for attempt := 0; ; attempt++ {
+		l, err := net.Listen("tcp", addr)
+		if err == nil {
+			go b.Serve(l)
+			return l.Addr().String()
+		}
+		if attempt == 50 {
+			t.Fatalf("listen %s: %v", addr, err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -142,12 +167,8 @@ func TestSnapshotV2PersistsVersionsAndTombstones(t *testing.T) {
 	src.DeleteVersioned("gone", 3, 7)
 	src.Set("legacy", []byte("old")) // unversioned, epoch 0
 
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	dst := NewStore()
-	if err := dst.ReadSnapshot(&buf); err != nil {
+	if err := dst.ReadSnapshot(bytes.NewReader(encodeSnapshot(src))); err != nil {
 		t.Fatal(err)
 	}
 	if v, epoch, ver, tomb, ok := dst.GetVersioned("live"); !ok || tomb || ver != 10 || epoch != 3 || string(v) != "v" {
@@ -219,35 +240,84 @@ func TestSnapshotRejectsHostileLengths(t *testing.T) {
 	}
 }
 
-func TestBackendPeriodicSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "periodic.snap")
+// TestSnapshotImportAllOrNothing: a truncated snapshot is rejected
+// without touching the store or the attached log — nothing is served
+// and nothing is replayed on the next boot, which then still imports.
+func TestSnapshotImportAllOrNothing(t *testing.T) {
+	src := NewStore()
+	for i := 0; i < 100; i++ {
+		src.SetVersioned(testKeyName(i), chaosValue(i), 1, uint64(i+1))
+	}
+	tmp := t.TempDir()
+	raw := encodeSnapshot(src)
+	path := filepath.Join(tmp, "torn.snap")
+	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(tmp, "node0")
 	b := NewBackend(0)
-	defer b.Close()
-	b.Store().Set("k", []byte("v"))
-	stop := b.StartSnapshots(snap, 10*time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(snap); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no snapshot written within deadline")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	s2 := NewStore()
-	f, err := os.Open(snap)
-	if err != nil {
+	if _, err := b.OpenData(dir, walTestOpts()); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := s2.ReadSnapshot(f); err != nil {
+	if err := b.LoadSnapshot(path); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("truncated import: %v, want ErrBadSnapshot", err)
+	}
+	if n, tombs := b.Store().Len(), b.Store().TombCount(); n != 0 || tombs != 0 {
+		t.Errorf("failed import left %d keys and %d tombstones in the store", n, tombs)
+	}
+	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := s2.Get("k"); !ok || string(v) != "v" {
-		t.Fatalf("periodic snapshot content: %q, %v", v, ok)
+	b2 := NewBackend(0)
+	if _, err := b2.OpenData(dir, walTestOpts()); err != nil {
+		t.Fatal(err)
 	}
+	defer b2.Close()
+	if st := b2.WAL().Stats(); st.Replayed != 0 || b2.Store().Len() != 0 {
+		t.Fatalf("reopen after a failed import replayed %d records (%d keys), want 0",
+			st.Replayed, b2.Store().Len())
+	}
+}
+
+// TestSnapshotImportIntoWAL: a good import is logged in full — a crash
+// right after LoadSnapshot returns reopens to exactly the snapshot's
+// keys, versions, epochs and tombstones, with no snapshot needed.
+func TestSnapshotImportIntoWAL(t *testing.T) {
+	src := NewStore()
+	for i := 0; i < 100; i++ {
+		src.SetVersioned(testKeyName(i), chaosValue(i), uint32(i%3), uint64(i+1))
+	}
+	for i := 0; i < 100; i += 7 {
+		src.DeleteVersioned(testKeyName(i), 2, uint64(500+i))
+	}
+	src.Set("legacy", []byte("old"))
+	want := storeFingerprint(src)
+	tmp := t.TempDir()
+	path := filepath.Join(tmp, "import.snap")
+	if err := os.WriteFile(path, encodeSnapshot(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(tmp, "node0")
+	b := NewBackend(0)
+	if _, err := b.OpenData(dir, walTestOpts()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.LoadSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	diffFingerprints(t, want, storeFingerprint(b.Store()))
+	// Crash without closing the log; the snapshot file is gone too.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	b2 := NewBackend(0)
+	if _, err := b2.OpenData(dir, walTestOpts()); err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if st := b2.WAL().Stats(); st.Replayed != uint64(len(want)) {
+		t.Errorf("reopen replayed %d records, want %d", st.Replayed, len(want))
+	}
+	diffFingerprints(t, want, storeFingerprint(b2.Store()))
 }

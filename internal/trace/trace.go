@@ -109,7 +109,9 @@ func Read(r io.Reader) (*Trace, error) {
 	if m == 0 || m > maxTraceKeys || count > maxTraceKeys {
 		return nil, fmt.Errorf("trace: implausible header m=%d count=%d", m, count)
 	}
-	t := &Trace{M: int(m), Keys: make([]int, 0, int(count))}
+	// Size the slice from the header only up to a small cap: count is
+	// untrusted, so memory must grow with the keys actually read.
+	t := &Trace{M: int(m), Keys: make([]int, 0, min(count, 1<<16))}
 	for i := uint64(0); i < count; i++ {
 		k, err := binary.ReadUvarint(br)
 		if err != nil {
