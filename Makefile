@@ -59,14 +59,18 @@ wal:
 	$(GO) test -race -v -run 'TestChaosWarmRestart|TestChaosKill9|TestChaosCorruptionQuarantine|TestChaosTruncatedHint|TestBackendCrashRecovery|TestStaleReplicaConvergesAfterPartialSet|TestSnapshot|TestLoadSnapshot' ./internal/kvstore/ && \
 	$(GO) test -race ./cmd/kvnode/
 
-# Elastic-membership matrix: live join/drain, breaker-state rebuild on
-# view commit, the moved-fraction regression, join rollback on a dead
-# joiner, crash-during-drain durability, and the scale-under-attack
-# scenario — all under -race. The membership package's own state-machine
-# tests ride along.
+# Remap matrix: both kinds of epoch change through the one remap
+# engine, under -race. Membership: live join/drain, the FIFO of queued
+# view changes, breaker-state rebuild on view commit, the moved-fraction
+# regression, join rollback on a dead joiner, crash-during-drain
+# durability, and the scale-under-attack scenario. Rotation: secret
+# rotation basics, concurrent-change refusal, deletes mid-migration,
+# commit-with-skips, the admin verbs, rotation under attack, and the
+# tier's secret rotation. The membership and rotation packages' own
+# state-machine tests ride along.
 membership:
-	$(GO) test -race -v -run 'TestJoin|TestDrain|TestMembership|TestViewCommit|TestAutoProvision|TestScaleUnderAttack' ./internal/kvstore/ && \
-	$(GO) test -race ./internal/membership/...
+	$(GO) test -race -v -run 'TestJoin|TestDrain|TestMembership|TestViewCommit|TestAutoProvision|TestScaleUnderAttack|TestFrontendRotate|TestRotat|TestTierSecretRotation' ./internal/kvstore/ && \
+	$(GO) test -race ./internal/membership/... ./internal/rotation/...
 
 # Distributed frontend tier matrix: the tier unit tests (two-choice
 # routing, candidate-gated cache admission, load-hint piggyback,

@@ -196,13 +196,13 @@ type Frontend struct {
 	casTotal      *metrics.Counter
 	casConflicts  *metrics.Counter
 
-	// Rotation state (see rotate.go). rotMu is the epoch write barrier:
-	// Set/Del hold it shared across their backend I/O, Rotate takes it
-	// exclusively around the epoch flip, so no write can span the old and
-	// new mapping. tombs records keys deleted while a rotation is open so
-	// a migration copy cannot resurrect them; tombMu is deliberately held
-	// across moveEntry's backend I/O (a Del blocks until the in-flight
-	// copy lands, then removes it everywhere).
+	// Epoch-change state (see remap.go). rotMu is the epoch write
+	// barrier: Set/Del hold it shared across their backend I/O, the remap
+	// engine takes it exclusively around each epoch flip, so no write can
+	// span the old and new mapping. tombs records keys deleted while a
+	// rotation is open so a migration copy cannot resurrect them; tombMu
+	// is deliberately held across moveEntry's backend I/O (a Del blocks
+	// until the in-flight copy lands, then removes it everywhere).
 	rotMu    sync.RWMutex
 	tombMu   sync.Mutex
 	tombs    map[string]struct{}
@@ -224,8 +224,8 @@ type Frontend struct {
 	repairJobs  chan readRepairJob
 
 	// Tier state (tierfront.go): nil when not in tier mode. pendingViews
-	// is the FIFO of staged membership changes queued behind an in-flight
-	// one (membership.go); guarded by rotateMu.
+	// is the FIFO of membership changes queued behind an in-flight one
+	// (remap.go stages them); guarded by rotateMu.
 	tier         *tierState
 	pendingViews []pendingView
 }

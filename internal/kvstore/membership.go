@@ -16,46 +16,17 @@ import (
 	"securecache/internal/membership"
 	"securecache/internal/metrics"
 	"securecache/internal/overload"
-	"securecache/internal/partition"
-	"securecache/internal/rotation"
 )
 
-// This file is the frontend half of elastic membership: live join and
-// drain of backend nodes, riding on the same epoch machinery as secret
-// rotation (rotate.go). A view change is a rotation whose next-epoch
-// mapping covers a DIFFERENT node set but the SAME secret seed:
-//
-//  1. Join/Drain stages a new membership view (internal/membership),
-//     grows the fleet and breaker state to cover any new node IDs, and
-//     opens an epoch change to the new (n, seed) mapping. Because the
-//     seed is unchanged and the hash is wrapped in partition.Remap,
-//     only keys whose replica group actually changed move — the
-//     expected fraction is reported up front (partition.MovedFraction).
-//  2. While the change is open, the dual-epoch read path (rotate.go)
-//     keeps every key readable, writes go quorum-to-the-new-group with
-//     hinted handoff, and the migrator re-places old-epoch entries,
-//     rate-limited and adaptively slowed when backends shed.
-//  3. On a drained pass the change commits: joining nodes become
-//     active, draining nodes become dead and are retired from probing
-//     and selection, the anti-entropy repairer is rebuilt over the new
-//     member set, and the cache is re-provisioned to the new
-//     c* = n·(ln ln n / ln d) + n·k′ + 1.
-//  4. A join whose new node dies mid-fill cannot ever finish (copies
-//     to it can never land): after MembershipConfig.AbortAfter the
-//     change rolls back — the epoch reverses (rotation.Reverse), a
-//     reverse migration re-homes everything under the old mapping, and
-//     the staged view aborts with the dead joiner's ID burned.
-//
-// A node dying mid-DRAIN needs no rollback: moves target the new
-// group, which excludes it, and its un-scanned keys are covered by its
-// d-1 group siblings — the migrator skips it (breaker-open check) and
-// the change commits as long as fewer than d nodes were unscannable.
+// This file is the membership constructor of the remap engine (remap.go):
+// live join and drain of backend nodes, each a new member set under the
+// same secret seed, plus the re-provisioning a committed view triggers.
 
 // DefaultJoinAbortAfter is how long a view change keeps retrying
 // against a dead joining node before rolling back.
 const DefaultJoinAbortAfter = 20 * time.Second
 
-// defaultViewRetryDelay paces migration retries within a view change.
+// defaultViewRetryDelay paces migration retries within an epoch change.
 const defaultViewRetryDelay = 500 * time.Millisecond
 
 // MembershipConfig tunes live join/drain. The zero value uses the
@@ -65,8 +36,8 @@ type MembershipConfig struct {
 	// JOINING node is unreachable before rolling the change back
 	// (0 = DefaultJoinAbortAfter; negative = retry forever).
 	AbortAfter time.Duration
-	// RetryDelay is the pause between failed migration passes during a
-	// view change (0 = 500ms).
+	// RetryDelay is the pause between failed migration passes of any
+	// epoch change — a view change or a secret rotation (0 = 500ms).
 	RetryDelay time.Duration
 }
 
@@ -120,7 +91,7 @@ type MembershipReport struct {
 }
 
 // pendingView is one membership change queued behind an in-flight view
-// change (guarded by rotateMu, applied FIFO by kickPendingView).
+// change (guarded by rotateMu, staged FIFO by stageQueued).
 type pendingView struct {
 	joinAddrs []string
 	drainIDs  []int
@@ -193,6 +164,12 @@ func (f *Frontend) changeView(joinAddrs []string, drainIDs []int) (MembershipRep
 		}
 		return MembershipReport{}, ErrRotationInProgress
 	}
+	return f.stageView(joinAddrs, drainIDs)
+}
+
+// stageView validates and stages one membership change, then opens its
+// epoch change. Called under rotateMu with no change open.
+func (f *Frontend) stageView(joinAddrs []string, drainIDs []int) (MembershipReport, error) {
 	d := f.cfg.Replication
 	// Fail fast: a joiner that cannot answer a ping now would doom the
 	// fill migration. Build (and keep) its client before staging
@@ -235,48 +212,16 @@ func (f *Frontend) changeView(joinAddrs []string, drainIDs []int) (MembershipRep
 		f.memb.Abort()
 		return MembershipReport{}, err
 	}
-	_, cur, _ := f.part.Snapshot()
-	samples := f.cfg.Rotation.MovedFractionSamples
-	if samples <= 0 {
-		samples = DefaultMovedFractionSamples
-	}
-	frac, err := partition.MovedFraction(cur, next, samples)
-	if err != nil {
-		f.memb.Abort()
-		return MembershipReport{}, err
-	}
-	limiter, rate := f.newMigrationLimiter()
-	mig, err := rotation.NewMigrator(rotation.MigratorConfig{
-		// Scan the union of the generations: data can only live where
-		// one of them placed it. Draining nodes are scanned (their data
-		// must leave); dead joiners are skipped by the breaker check.
-		NodeIDs:     unionNodes(oldMembers, members),
-		Batch:       f.cfg.Rotation.Batch,
-		MaxAttempts: f.cfg.Rotation.MaxAttempts,
-		Backoff:     f.cfg.Rotation.Backoff,
-		Limiter:     limiter,
-		Unavailable: f.nodeUnavailable,
-		OnSkip:      func(int) { f.metrics.Counter("migration_scan_skipped_total").Inc() },
-		OnMoved:     f.metrics.Counter("rotation_keys_moved_total").Inc,
-		OnInflight:  func(delta int) { f.metrics.Gauge("rotation_inflight").Add(int64(delta)) },
-	}, &migrationTransport{f: f, rate: rate})
-	if err != nil {
-		f.memb.Abort()
-		return MembershipReport{}, err
-	}
-	f.rotMu.Lock()
-	epoch, err := f.part.BeginMembership(next)
-	f.rotMu.Unlock()
+	// Scan the union of the generations: data can only live where one
+	// of them placed it. Draining nodes are scanned (their data must
+	// leave); dead joiners are skipped by the breaker check.
+	epoch, frac, err := f.openChange(next, unionNodes(oldMembers, members), &staged)
 	if err != nil {
 		f.memb.Abort()
 		return MembershipReport{}, err
 	}
 	f.metrics.Counter("membership_changes_total").Inc()
-	f.metrics.Gauge("partition_epoch").Set(int64(epoch))
 	f.metrics.Gauge("membership_version").Set(int64(staged.Version))
-	f.migrator = mig
-	f.rotWG.Add(1)
-	go f.runViewChange(mig, epoch, staged)
 	report := MembershipReport{
 		Version:               staged.Version,
 		Epoch:                 epoch,
@@ -331,195 +276,6 @@ func (f *Frontend) growFleet(staged membership.View, joined map[string]*Client) 
 	}
 	f.fleet.Store(ns)
 	f.health.grow(maxID + 1)
-}
-
-// runViewChange drives the view-change migration to commit or
-// rollback. Mirrors runMigration (rotate.go) with two differences: the
-// commit also commits the membership view and re-provisions, and a
-// join whose new node is dead past the grace period rolls back instead
-// of retrying forever.
-func (f *Frontend) runViewChange(mig *rotation.Migrator, epoch uint32, staged membership.View) {
-	defer f.rotWG.Done()
-	abortAfter := f.cfg.Membership.AbortAfter
-	if abortAfter == 0 {
-		abortAfter = DefaultJoinAbortAfter
-	}
-	var joinDeadSince time.Time
-	for {
-		_, err := mig.Run(f.rotStop)
-		if err == nil {
-			// Commit-with-skips is sound only below d unscannable nodes:
-			// every key has d replicas, so with < d skipped at least one
-			// scanned node covered it.
-			if len(mig.Skipped()) < f.cfg.Replication {
-				f.commitViewChange(mig, epoch, staged)
-				return
-			}
-			log.Printf("kvstore: view change v%d: %d nodes unscannable (need < %d to commit); will retry",
-				staged.Version, len(mig.Skipped()), f.cfg.Replication)
-		} else {
-			if errors.Is(err, rotation.ErrStopped) {
-				return
-			}
-			f.metrics.Counter("rotation_failed_total").Inc()
-			log.Printf("kvstore: view change v%d: migration: %v (will retry)", staged.Version, err)
-		}
-		// A dead JOINING node makes the fill impossible — its copies can
-		// never land. After the grace period, roll the change back.
-		if dead := f.deadJoiner(staged); dead >= 0 && abortAfter > 0 {
-			if joinDeadSince.IsZero() {
-				joinDeadSince = time.Now()
-			}
-			if time.Since(joinDeadSince) >= abortAfter {
-				log.Printf("kvstore: view change v%d: joining node %d unreachable for %v; rolling back",
-					staged.Version, dead, abortAfter)
-				f.rollbackViewChange(staged)
-				return
-			}
-		} else {
-			joinDeadSince = time.Time{}
-		}
-		select {
-		case <-f.rotStop:
-			return
-		case <-time.After(f.viewRetryDelay()):
-		}
-	}
-}
-
-func (f *Frontend) viewRetryDelay() time.Duration {
-	return defDur(f.cfg.Membership.RetryDelay, defaultViewRetryDelay)
-}
-
-// deadJoiner returns the ID of a staged joining node whose breaker is
-// open (-1 if none). Migration traffic itself feeds the breaker
-// (migrationTransport), so a dead joiner is detected even on an
-// otherwise idle cluster.
-func (f *Frontend) deadJoiner(staged membership.View) int {
-	for _, n := range staged.Nodes {
-		if n.State == membership.StateJoining && f.nodeUnavailable(n.ID) {
-			return n.ID
-		}
-	}
-	return -1
-}
-
-// commitViewChange finalizes a drained view change: epoch commit under
-// the write barrier, membership commit, then re-provisioning — all
-// under rotateMu so no Rotate/Join/Drain interleaves.
-func (f *Frontend) commitViewChange(mig *rotation.Migrator, epoch uint32, staged membership.View) {
-	f.rotateMu.Lock()
-	f.rotMu.Lock()
-	f.part.Commit()
-	f.rotMu.Unlock()
-	view := f.memb.Commit()
-	f.applyCommittedView(view)
-	f.rotateMu.Unlock()
-	f.tombMu.Lock()
-	f.tombs = make(map[string]struct{})
-	f.tombMu.Unlock()
-	f.metrics.Counter("membership_commits_total").Inc()
-	log.Printf("kvstore: view change v%d committed at epoch %d: %d keys re-placed, %d members serving",
-		view.Version, epoch, mig.Moved(), len(view.Members()))
-	f.kickPendingView()
-}
-
-// kickPendingView stages the oldest queued membership change, if any.
-// Called after a view change fully resolves (commit or rollback). The
-// dequeued change runs on its own goroutine: changeView re-validates it
-// from scratch (joiner reachability, member-count floor), so a change
-// that was plausible when queued can still fail — that failure is
-// logged and counted, exactly as if the operator had issued it then.
-// If the re-issued change races with yet another in-flight view change
-// it simply re-queues itself through the normal path.
-func (f *Frontend) kickPendingView() {
-	f.rotateMu.Lock()
-	if len(f.pendingViews) == 0 {
-		f.rotateMu.Unlock()
-		return
-	}
-	pv := f.pendingViews[0]
-	f.pendingViews = f.pendingViews[1:]
-	f.metrics.Gauge("membership_queued").Set(int64(len(f.pendingViews)))
-	f.rotateMu.Unlock()
-	f.rotWG.Add(1)
-	go func() {
-		defer f.rotWG.Done()
-		if _, err := f.changeView(pv.joinAddrs, pv.drainIDs); err != nil {
-			f.metrics.Counter("membership_queue_dropped_total").Inc()
-			log.Printf("kvstore: queued membership change (join %v, drain %v) dropped: %v",
-				pv.joinAddrs, pv.drainIDs, err)
-		}
-	}()
-}
-
-// rollbackViewChange reverses a failed join: the epoch change swaps
-// back toward the OLD mapping (rotation.Reverse — a forward migration
-// in the opposite direction, because entries already purged from their
-// old homes exist only under the new mapping and a plain abort would
-// lose them), the reverse migration re-homes everything, and the
-// staged view aborts. Draining nodes return to active; joining nodes
-// are recorded dead and retired.
-func (f *Frontend) rollbackViewChange(staged membership.View) {
-	f.metrics.Counter("membership_aborts_total").Inc()
-	f.rotMu.Lock()
-	epoch, err := f.part.Reverse()
-	f.rotMu.Unlock()
-	if err != nil {
-		log.Printf("kvstore: view change v%d rollback: %v", staged.Version, err)
-		return
-	}
-	f.metrics.Gauge("partition_epoch").Set(int64(epoch))
-	oldMembers := f.memb.View().Members() // committed (pre-change) members
-	limiter, rate := f.newMigrationLimiter()
-	mig, merr := rotation.NewMigrator(rotation.MigratorConfig{
-		NodeIDs:     unionNodes(oldMembers, staged.Members()),
-		Batch:       f.cfg.Rotation.Batch,
-		MaxAttempts: f.cfg.Rotation.MaxAttempts,
-		Backoff:     f.cfg.Rotation.Backoff,
-		Limiter:     limiter,
-		Unavailable: f.nodeUnavailable,
-		OnSkip:      func(int) { f.metrics.Counter("migration_scan_skipped_total").Inc() },
-		OnMoved:     f.metrics.Counter("rotation_keys_moved_total").Inc,
-		OnInflight:  func(delta int) { f.metrics.Gauge("rotation_inflight").Add(int64(delta)) },
-	}, &migrationTransport{f: f, rate: rate})
-	if merr != nil {
-		log.Printf("kvstore: view change v%d rollback: %v", staged.Version, merr)
-		return
-	}
-	f.rotateMu.Lock()
-	f.migrator = mig
-	f.rotateMu.Unlock()
-	for {
-		_, err := mig.Run(f.rotStop)
-		if err == nil && len(mig.Skipped()) < f.cfg.Replication {
-			break
-		}
-		if errors.Is(err, rotation.ErrStopped) {
-			return
-		}
-		if err != nil {
-			log.Printf("kvstore: view change v%d rollback migration: %v (will retry)", staged.Version, err)
-		}
-		select {
-		case <-f.rotStop:
-			return
-		case <-time.After(f.viewRetryDelay()):
-		}
-	}
-	f.rotateMu.Lock()
-	f.rotMu.Lock()
-	f.part.Commit()
-	f.rotMu.Unlock()
-	view := f.memb.Abort()
-	f.applyCommittedView(view)
-	f.rotateMu.Unlock()
-	f.tombMu.Lock()
-	f.tombs = make(map[string]struct{})
-	f.tombMu.Unlock()
-	log.Printf("kvstore: view change v%d rolled back: %d members serving under the original mapping",
-		staged.Version, len(view.Members()))
-	f.kickPendingView()
 }
 
 // applyCommittedView re-derives everything downstream of the member

@@ -5,37 +5,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"log"
 	"net/http"
 	"strconv"
 	"time"
 
-	"securecache/internal/overload"
-	"securecache/internal/partition"
 	"securecache/internal/rotation"
 )
 
-// This file is the frontend half of epoch-based secret remapping (the
-// mechanism lives in internal/rotation; the storage side is the epoch
-// tags and SCAN support in store.go/backend.go). A rotation swaps the
-// secret partition seed while the cluster keeps serving:
-//
-//   1. Rotate() builds the next-generation mapping, reports the expected
-//      migration volume (partition.MovedFraction), and flips the epoch
-//      under the rotMu write barrier.
-//   2. Reads run dual-epoch (fetchFromReplicas below): new group first,
-//      then — only on a clean NotFound — the previous generation's
-//      group, with read-repair so a key touched once never falls back
-//      again. Writes go to the new group only, stamped with the new
-//      epoch.
-//   3. A background rotation.Migrator streams every old-epoch entry out
-//      of each node (OpScan) and re-places it under the new mapping,
-//      rate-limited so migration cannot become its own overload. When a
-//      full pass finds nothing left, the rotation commits and the old
-//      generation is forgotten.
-//
-// Deletes during a rotation leave tombstones so a concurrent migration
-// copy cannot resurrect a removed key; tombstones die with the rotation.
+// This file is the secret-rotation constructor of the remap engine
+// (remap.go) — the same members under a fresh seed — plus the pieces
+// every epoch change shares: the dual-generation read path, moveEntry,
+// the migration transport, and the admin verbs.
 
 // Default rotation parameters (RotationConfig zero values).
 const (
@@ -110,7 +90,6 @@ func (f *Frontend) Rotate(newSeed uint64) (RotationReport, error) {
 	if f.part.Rotating() {
 		return RotationReport{}, ErrRotationInProgress
 	}
-	_, cur, _ := f.part.Snapshot()
 	// Re-seed over the CURRENT member set (global IDs with holes after
 	// membership changes — the Remap translates).
 	members := f.memb.Current().Members()
@@ -118,114 +97,13 @@ func (f *Frontend) Rotate(newSeed uint64) (RotationReport, error) {
 	if err != nil {
 		return RotationReport{}, err
 	}
-	samples := f.cfg.Rotation.MovedFractionSamples
-	if samples <= 0 {
-		samples = DefaultMovedFractionSamples
-	}
-	frac, err := partition.MovedFraction(cur, next, samples)
-	if err != nil {
-		return RotationReport{}, err
-	}
-
-	limiter, rate := f.newMigrationLimiter()
-	movedCtr := f.metrics.Counter("rotation_keys_moved_total")
-	inflight := f.metrics.Gauge("rotation_inflight")
-	mig, err := rotation.NewMigrator(rotation.MigratorConfig{
-		NodeIDs:     members,
-		Batch:       f.cfg.Rotation.Batch,
-		MaxAttempts: f.cfg.Rotation.MaxAttempts,
-		Backoff:     f.cfg.Rotation.Backoff,
-		Limiter:     limiter,
-		Unavailable: f.nodeUnavailable,
-		OnSkip:      func(int) { f.metrics.Counter("migration_scan_skipped_total").Inc() },
-		OnMoved:     movedCtr.Inc,
-		OnInflight:  func(delta int) { inflight.Add(int64(delta)) },
-	}, &migrationTransport{f: f, rate: rate})
-	if err != nil {
-		return RotationReport{}, err
-	}
-
-	// The write barrier: once Begin returns, every Set/Del routes and
-	// stamps against the new generation — no write spans the flip.
-	f.rotMu.Lock()
-	epoch, err := f.part.Begin(next)
-	f.rotMu.Unlock()
+	epoch, frac, err := f.openChange(next, members, nil)
 	if err != nil {
 		return RotationReport{}, err
 	}
 	f.curSeed = newSeed
 	f.metrics.Counter("rotations_total").Inc()
-	f.metrics.Gauge("partition_epoch").Set(int64(epoch))
-	f.migrator = mig
-	f.rotWG.Add(1)
-	go f.runMigration(mig, epoch)
 	return RotationReport{Epoch: epoch, ExpectedMovedFraction: frac}, nil
-}
-
-// newMigrationLimiter builds the rate limiter for one migration from
-// the rotation config, plus the adaptive controller that retunes it
-// against backend pushback (nil limiter when unlimited).
-func (f *Frontend) newMigrationLimiter() (*overload.TokenBucket, *migRateController) {
-	rate := f.cfg.Rotation.Rate
-	if rate < 0 {
-		return nil, nil
-	}
-	if rate == 0 {
-		rate = DefaultRotationRate
-	}
-	burst := f.cfg.Rotation.Burst
-	if burst <= 0 {
-		burst = DefaultRotationBurst
-	}
-	limiter := overload.NewTokenBucket(rate, float64(burst))
-	return limiter, newMigRateController(limiter, rate, f.metrics.Gauge("migration_rate"))
-}
-
-// runMigration drives the migrator to completion and commits the
-// rotation. A migration error does NOT abort the rotation — keys already
-// moved live only under the new mapping, so reverting would lose them.
-// Instead the rotation stays open (the dual-epoch read path keeps every
-// key reachable at fallback cost) and the migration retries until it
-// drains or the frontend closes.
-func (f *Frontend) runMigration(mig *rotation.Migrator, epoch uint32) {
-	defer f.rotWG.Done()
-	for {
-		_, err := mig.Run(f.rotStop)
-		if err == nil {
-			// Unreachable nodes are skipped, not fatal — but committing is
-			// only sound while fewer than d were skipped (every key has d
-			// replicas, so at least one scanned node covered it). At d or
-			// more, a key could live exclusively on the unscanned set.
-			if len(mig.Skipped()) < f.cfg.Replication {
-				break
-			}
-			log.Printf("kvstore: rotation to epoch %d: %d nodes unscannable (need < %d to commit); will retry",
-				epoch, len(mig.Skipped()), f.cfg.Replication)
-		} else {
-			if errors.Is(err, rotation.ErrStopped) {
-				return
-			}
-			f.metrics.Counter("rotation_failed_total").Inc()
-			log.Printf("kvstore: rotation to epoch %d: migration: %v (will retry)", epoch, err)
-		}
-		select {
-		case <-f.rotStop:
-			return
-		case <-time.After(time.Second):
-		}
-	}
-	// Drained: every entry a scan can see is at the new epoch. Commit
-	// under the write barrier so no Set/Del observes a half-closed
-	// rotation, then drop the tombstones (they only guard against
-	// resurrection by migration copies, and there are none left).
-	f.rotMu.Lock()
-	f.part.Commit()
-	f.rotMu.Unlock()
-	f.tombMu.Lock()
-	f.tombs = make(map[string]struct{})
-	f.tombMu.Unlock()
-	f.metrics.Counter("rotations_completed_total").Inc()
-	log.Printf("kvstore: rotation to epoch %d committed: %d keys migrated", epoch, mig.Moved())
 }
 
 // RotationStatus reports the current epoch and migration progress.
@@ -448,10 +326,10 @@ func (t *migrationTransport) Move(e rotation.Entry) error {
 //	POST /drain?id=N      drain member(s) N out of the cluster
 //	GET  /membership      membership status as JSON
 //
-// /rotate answers 200 with a RotationReport, 409 while a rotation is
-// already running. The seed never appears in the response or the logs.
-// /join and /drain answer 200 with a MembershipReport, 409 while an
-// epoch change (rotation or view change) is open.
+// /rotate answers 200 with a RotationReport, 409 while any epoch change
+// is open. The seed never appears in the response or the logs. /join
+// and /drain answer 200 with a MembershipReport, 202 with a queued one
+// behind an in-flight view change, 409 during a rotation.
 func (f *Frontend) AdminHandlers() map[string]http.HandlerFunc {
 	h := f.membershipHandlers()
 	h["/rotate"], h["/rotation"] = f.rotationHandlers()

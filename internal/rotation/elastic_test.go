@@ -9,18 +9,14 @@ import (
 	"securecache/internal/partition"
 )
 
-func TestBeginMembershipAllowsResize(t *testing.T) {
+func TestBeginAllowsResize(t *testing.T) {
 	e := NewEpochPartitioner(partition.NewHash(4, 2, 1))
-	// The strict Begin still refuses a node-count change.
-	if _, err := e.Begin(partition.NewHash(5, 2, 1)); err == nil {
-		t.Fatal("Begin accepted a node-count change")
-	}
-	epoch, err := e.BeginMembership(partition.NewRemap(partition.NewHash(5, 2, 1), []int{0, 1, 2, 3, 4}))
+	epoch, err := e.Begin(partition.NewRemap(partition.NewHash(5, 2, 1), []int{0, 1, 2, 3, 4}))
 	if err != nil {
-		t.Fatalf("BeginMembership: %v", err)
+		t.Fatalf("Begin: %v", err)
 	}
 	if epoch != 2 || !e.Rotating() {
-		t.Fatalf("epoch %d rotating %v after BeginMembership", epoch, e.Rotating())
+		t.Fatalf("epoch %d rotating %v after Begin", epoch, e.Rotating())
 	}
 	if e.Nodes() != 5 {
 		t.Fatalf("current generation has %d nodes, want 5", e.Nodes())
@@ -30,8 +26,8 @@ func TestBeginMembershipAllowsResize(t *testing.T) {
 		t.Fatalf("snapshot nodes cur=%d prev=%d", cur.Nodes(), prev.Nodes())
 	}
 	// Still one change at a time.
-	if _, err := e.BeginMembership(partition.NewHash(6, 2, 1)); !errors.Is(err, ErrRotationActive) {
-		t.Fatalf("second BeginMembership = %v, want ErrRotationActive", err)
+	if _, err := e.Begin(partition.NewHash(6, 2, 1)); !errors.Is(err, ErrRotationActive) {
+		t.Fatalf("second Begin = %v, want ErrRotationActive", err)
 	}
 }
 
@@ -42,7 +38,7 @@ func TestReverseSwapsGenerationsAndStaysOpen(t *testing.T) {
 	if _, err := e.Reverse(); err == nil {
 		t.Fatal("Reverse with no rotation open succeeded")
 	}
-	if _, err := e.BeginMembership(next); err != nil {
+	if _, err := e.Begin(next); err != nil {
 		t.Fatal(err)
 	}
 	e.MarkMigrated(42)

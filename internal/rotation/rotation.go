@@ -28,7 +28,6 @@ package rotation
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"securecache/internal/partition"
@@ -82,25 +81,13 @@ func (e *EpochPartitioner) Snapshot() (epoch uint32, cur, prev partition.Partiti
 	return e.epoch, e.cur, e.prev
 }
 
-// Begin opens a rotation to the next generation and returns the new
-// epoch number. The node count must match (the cluster membership is
-// fixed across a seed rotation; a node-set change goes through
-// BeginMembership). Fails with ErrRotationActive if a rotation is
-// already open.
+// Begin opens an epoch change to the next generation and returns the
+// new epoch number. next may cover a different node set than the
+// current generation (a join or drain) or the same one under a fresh
+// seed (a secret rotation); the caller owns the member set — this type
+// only versions the mapping. Fails with ErrRotationActive if a change
+// is already open.
 func (e *EpochPartitioner) Begin(next partition.Partitioner) (uint32, error) {
-	return e.begin(next, false)
-}
-
-// BeginMembership opens an epoch change whose new generation may cover
-// a different node set (a join or drain): the same dual-generation
-// machinery as a seed rotation, with the node-count check relaxed. The
-// caller owns the membership bookkeeping — this type only versions the
-// mapping.
-func (e *EpochPartitioner) BeginMembership(next partition.Partitioner) (uint32, error) {
-	return e.begin(next, true)
-}
-
-func (e *EpochPartitioner) begin(next partition.Partitioner, allowResize bool) (uint32, error) {
 	if next == nil {
 		return 0, errors.New("rotation: Begin with nil partitioner")
 	}
@@ -108,9 +95,6 @@ func (e *EpochPartitioner) begin(next partition.Partitioner, allowResize bool) (
 	defer e.mu.Unlock()
 	if e.prev != nil {
 		return 0, ErrRotationActive
-	}
-	if !allowResize && next.Nodes() != e.cur.Nodes() {
-		return 0, fmt.Errorf("rotation: node count %d != current %d", next.Nodes(), e.cur.Nodes())
 	}
 	e.prev = e.cur
 	e.cur = next
@@ -124,9 +108,9 @@ func (e *EpochPartitioner) begin(next partition.Partitioner, allowResize bool) (
 // STAYS OPEN, with the abandoned generation now playing the "previous"
 // role. This is how a failed view change rolls back without losing
 // data: entries already moved live only under the abandoned mapping, so
-// a plain Abort would orphan them — instead the caller reverses and
-// runs a forward migration back toward the old mapping, committing once
-// the scans drain. The migration watermark resets (nothing has migrated
+// simply restoring the old mapping would orphan them — instead the
+// caller reverses and runs a forward migration back toward the old
+// mapping, committing once the scans drain. The migration watermark resets (nothing has migrated
 // toward the restored generation yet).
 func (e *EpochPartitioner) Reverse() (uint32, error) {
 	e.mu.Lock()
@@ -147,22 +131,6 @@ func (e *EpochPartitioner) Commit() {
 	e.prev = nil
 	e.migrated = nil
 	e.mu.Unlock()
-}
-
-// Abort cancels an open rotation, reverting to the previous mapping
-// under a fresh epoch number (entries already stamped with the aborted
-// epoch must read as stale, so the epoch never goes backwards).
-func (e *EpochPartitioner) Abort() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.prev == nil {
-		return errors.New("rotation: Abort with no rotation open")
-	}
-	e.cur = e.prev
-	e.prev = nil
-	e.epoch++
-	e.migrated = nil
-	return nil
 }
 
 // MarkMigrated records that a key ID is fully present in its
@@ -186,13 +154,6 @@ func (e *EpochPartitioner) Migrated(id uint64) bool {
 	}
 	_, ok := e.migrated[id]
 	return ok
-}
-
-// MigratedCount returns the size of the migration watermark.
-func (e *EpochPartitioner) MigratedCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.migrated)
 }
 
 // Nodes implements partition.Partitioner against the current generation.

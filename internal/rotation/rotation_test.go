@@ -38,7 +38,7 @@ func TestEpochPartitionerLifecycle(t *testing.T) {
 	}
 
 	ep.MarkMigrated(42)
-	if !ep.Migrated(42) || ep.Migrated(43) || ep.MigratedCount() != 1 {
+	if !ep.Migrated(42) || ep.Migrated(43) {
 		t.Fatal("migration watermark wrong")
 	}
 
@@ -48,38 +48,6 @@ func TestEpochPartitionerLifecycle(t *testing.T) {
 	}
 	if ep.Epoch() != 2 {
 		t.Fatalf("epoch %d after commit, want 2", ep.Epoch())
-	}
-}
-
-func TestEpochPartitionerAbort(t *testing.T) {
-	old := partition.NewHash(4, 2, 1)
-	ep := NewEpochPartitioner(old)
-	if err := ep.Abort(); err == nil {
-		t.Fatal("Abort outside a rotation should fail")
-	}
-	if _, err := ep.Begin(partition.NewHash(4, 2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if ep.Rotating() {
-		t.Fatal("still rotating after abort")
-	}
-	if got := ep.Group(7); !sameInts(got, old.Group(7)) {
-		t.Fatal("abort did not revert the mapping")
-	}
-	// The epoch must advance past the aborted generation so entries
-	// stamped with it read as stale, never as current.
-	if ep.Epoch() != 3 {
-		t.Fatalf("epoch %d after abort, want 3", ep.Epoch())
-	}
-}
-
-func TestEpochPartitionerRejectsNodeCountChange(t *testing.T) {
-	ep := NewEpochPartitioner(partition.NewHash(4, 2, 1))
-	if _, err := ep.Begin(partition.NewHash(5, 2, 2)); err == nil {
-		t.Fatal("node-count change accepted")
 	}
 }
 
