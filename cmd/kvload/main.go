@@ -12,9 +12,9 @@
 //	       -backends 127.0.0.1:7001,127.0.0.1:7002   # also report per-node loads
 //	kvload -frontend 127.0.0.1:7000 -m 100 -workload uniform \
 //	       -cas-fraction 0.3   # 30% CAS read-modify-writes; success/conflict breakdown
-//	kvload -frontend 127.0.0.1:7000 -m 1000 -pipeline 64 \
-//	       -batch-wait 2ms     # pipelined transport + Nagle-batched preload;
-//	                           # reports in-flight window queueing delay
+//	kvload -frontend 127.0.0.1:7000 -m 1000 \
+//	       -pipeline 64        # pipelined transport; reports in-flight
+//	                           # window queueing delay
 //
 // Against a distributed frontend tier, -frontends replaces -frontend and
 // every worker drives a power-of-two-choices tier client over the named
@@ -68,8 +68,6 @@ func main() {
 		refreshAt = flag.Int("refresh-streak", 8, "consecutive BUSY/error responses before re-reading cluster membership from the frontend (0 = never)")
 		casFrac   = flag.Float64("cas-fraction", 0, "fraction of timed requests issued as a CAS read-modify-write (GetV + Cas) instead of a GET; conflicts are reported apart from successes")
 		pipeDepth = flag.Int("pipeline", 0, "pipelined transport: max in-flight frames per conn (0 = lockstep)")
-		batchB    = flag.Int("batch-bytes", 0, "preload write batching: flush at this many queued payload bytes (0 = library default; needs -batch-wait)")
-		batchW    = flag.Duration("batch-wait", 0, "preload write batching: hold SETs up to this long to coalesce them into one writev (0 = dispatch each immediately)")
 	)
 	flag.Parse()
 	if *casFrac < 0 || *casFrac > 1 {
@@ -128,26 +126,14 @@ func main() {
 	}
 
 	if *preload {
-		var batchOpts *kvstore.BatchOptions
-		if *batchB > 0 || *batchW != 0 {
-			batchOpts = &kvstore.BatchOptions{MaxBytes: *batchB, MaxWait: *batchW}
-		}
 		mem := startMemDelta()
-		n, took, err := preloadKeys(newQuerier, keys, batchOpts)
+		n, took, err := preloadKeys(newQuerier, keys)
 		if err != nil {
 			fatal(err)
 		}
 		allocs, bytes := mem.perOp(uint64(n))
 		fmt.Printf("op SET (preload): %d ops in %v (%.0f ops/s, %d allocs/op, %d B/op client-side)\n",
 			n, took.Round(time.Millisecond), float64(n)/took.Seconds(), allocs, bytes)
-		if n := winWaitN.Load(); n > 0 {
-			fmt.Printf("  preload window stalls: %d (%v total) — expected when batching outruns depth %d\n",
-				n, time.Duration(winWaitNs.Load()).Round(time.Millisecond), *pipeDepth)
-		}
-		// The timed report below should cover the timed loop only.
-		winWaitNs.Store(0)
-		winWaitN.Store(0)
-		winWaitMax.Store(0)
 	}
 
 	// The backend list is LIVE state now that the cluster supports
@@ -497,49 +483,16 @@ func buildKeys(tracePath, kind string, m, x int, zipfS float64, queries int, see
 	return workload.NewGenerator(dist, seed).Batch(make([]int, 0, queries), queries), nil
 }
 
-// batcher is the write-coalescing surface (satisfied by *kvstore.Client;
-// the tier client preloads per-op).
-type batcher interface {
-	Batch(kvstore.BatchOptions) *kvstore.Batch
-}
-
-func preloadKeys(newQuerier func() (querier, func()), keys []int, batchOpts *kvstore.BatchOptions) (int, time.Duration, error) {
-	seen := make(map[int]bool)
-	uniq := make([]int, 0, len(keys))
-	for _, k := range keys {
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, k)
-		}
-	}
+func preloadKeys(newQuerier func() (querier, func()), keys []int) (int, time.Duration, error) {
 	client, closeClient := newQuerier()
 	defer closeClient()
+	seen := make(map[int]bool)
 	start := time.Now()
-
-	// Batched mode: queue every SET through the coalescing buffer so the
-	// warm-up rides big writev batches, then settle the futures. Keys the
-	// cluster shed fall back to the per-op path below, which retries.
-	var retry []int
-	if bc, ok := client.(batcher); ok && batchOpts != nil {
-		b := bc.Batch(*batchOpts)
-		futures := make([]*kvstore.BatchPending, len(uniq))
-		for i, k := range uniq {
-			futures[i] = b.Set(workload.KeyName(k), []byte("payload"))
+	for _, k := range keys {
+		if seen[k] {
+			continue
 		}
-		b.Flush()
-		for i, p := range futures {
-			if err := p.Wait(); err != nil {
-				if !errors.Is(err, kvstore.ErrBusy) {
-					return 0, 0, fmt.Errorf("preload key %d: %w", uniq[i], err)
-				}
-				retry = append(retry, uniq[i])
-			}
-		}
-	} else {
-		retry = uniq
-	}
-
-	for _, k := range retry {
+		seen[k] = true
 		// Warm-up must not outpace an admission-limited cluster: back off
 		// and re-send when the store sheds the SET instead of aborting.
 		var err error

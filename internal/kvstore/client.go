@@ -464,11 +464,8 @@ func (c *Client) GetV(key string) (value []byte, ver uint64, tomb bool, err erro
 // the call is idempotent and safe to replay (hinted handoff, read
 // repair, anti-entropy all ride this path).
 func (c *Client) SetVersioned(key string, value []byte, epoch uint32, ver uint64) error {
-	resp, err := c.Do(&proto.Request{Op: proto.OpSet, Key: key, Value: value, Epoch: epoch, Ver: ver})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	_, err := c.write(&proto.Request{Op: proto.OpSet, Key: key, Value: value, Epoch: epoch, Ver: ver})
+	return err
 }
 
 // DelVersioned deletes key by writing a versioned tombstone: replicas
@@ -476,14 +473,8 @@ func (c *Client) SetVersioned(key string, value []byte, epoch uint32, ver uint64
 // resurrecting the key. Deleting an absent key still records the
 // tombstone (idempotent, and the replica holding the value may be down).
 func (c *Client) DelVersioned(key string, epoch uint32, ver uint64) error {
-	resp, err := c.Do(&proto.Request{Op: proto.OpDel, Key: key, Epoch: epoch, Ver: ver})
-	if err != nil {
-		return err
-	}
-	if resp.Status == proto.StatusNotFound {
-		return nil
-	}
-	return resp.Err()
+	_, err := c.write(&proto.Request{Op: proto.OpDel, Key: key, Epoch: epoch, Ver: ver})
+	return err
 }
 
 // Cas performs a versioned compare-and-swap against a frontend: value
@@ -538,11 +529,8 @@ func (c *Client) Invalidate(key string) error {
 
 // Set stores value under key.
 func (c *Client) Set(key string, value []byte) error {
-	resp, err := c.Do(&proto.Request{Op: proto.OpSet, Key: key, Value: value})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	_, err := c.SetV(key, value)
+	return err
 }
 
 // SetV stores value under key and returns the logical version the write
@@ -552,28 +540,7 @@ func (c *Client) Set(key string, value []byte) error {
 // version is what a caller needs to chain a Cas onto its own write
 // without an intervening read.
 func (c *Client) SetV(key string, value []byte) (uint64, error) {
-	resp, err := c.Do(&proto.Request{Op: proto.OpSet, Key: key, Value: value})
-	if err != nil {
-		return 0, err
-	}
-	if err := resp.Err(); err != nil {
-		return 0, err
-	}
-	if len(resp.Payload) >= 8 {
-		return binary.BigEndian.Uint64(resp.Payload), nil
-	}
-	return 0, nil
-}
-
-// SetEpoch stores value under key stamped with a partition epoch: the
-// frontend's write path during (and after) a rotation. Epoch 0 is the
-// pre-rotation tag and encodes identically to a plain Set.
-func (c *Client) SetEpoch(key string, value []byte, epoch uint32) error {
-	resp, err := c.Do(&proto.Request{Op: proto.OpSet, Key: key, Value: value, Epoch: epoch})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	return c.write(&proto.Request{Op: proto.OpSet, Key: key, Value: value})
 }
 
 // CopyEpoch applies an epoch-guarded migration copy: the server stores
@@ -582,11 +549,8 @@ func (c *Client) SetEpoch(key string, value []byte, epoch uint32) error {
 // The copied entry keeps its origin's logical version ver (0 for
 // unversioned data).
 func (c *Client) CopyEpoch(key string, value []byte, epoch uint32, ver uint64) error {
-	resp, err := c.Do(&proto.Request{Op: proto.OpSet, Key: key, Value: value, Epoch: epoch, Ver: ver, EpochGuard: true})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	_, err := c.write(&proto.Request{Op: proto.OpSet, Key: key, Value: value, Epoch: epoch, Ver: ver, EpochGuard: true})
+	return err
 }
 
 // Scan fetches one page of the server's store in key-ID order, resuming
@@ -633,17 +597,21 @@ func (c *Client) Del(key string) error {
 // that later observes a live version below it is seeing resurrected
 // data — the checker's no-resurrection rule keys off exactly this.
 func (c *Client) DelV(key string) (uint64, error) {
-	resp, err := c.Do(&proto.Request{Op: proto.OpDel, Key: key})
+	return c.write(&proto.Request{Op: proto.OpDel, Key: key})
+}
+
+// write sends one Set- or Del-shaped request and returns the version
+// the server reports (0 from servers that assign none). A delete of a
+// missing key is success: deletes are idempotent.
+func (c *Client) write(req *proto.Request) (uint64, error) {
+	resp, err := c.Do(req)
 	if err != nil {
 		return 0, err
-	}
-	if resp.Status == proto.StatusNotFound {
-		return 0, nil
 	}
 	if err := resp.Err(); err != nil {
 		return 0, err
 	}
-	if len(resp.Payload) >= 8 {
+	if resp.Status == proto.StatusOK && len(resp.Payload) >= 8 {
 		return binary.BigEndian.Uint64(resp.Payload), nil
 	}
 	return 0, nil

@@ -12,10 +12,11 @@ import (
 )
 
 // This file is the frontend half of the write-durability subsystem:
-// the logical-version clock that orders every replicated write, quorum
-// accounting for Set/Del, hinted handoff for replicas that miss writes,
-// within-epoch read repair, and the background anti-entropy loop
-// (mechanism in internal/repair; storage semantics in store.go).
+// the logical-version clock that orders every replicated write, hinted
+// handoff for replicas that miss writes, within-epoch read repair, and
+// the background anti-entropy loop (mechanism in internal/repair;
+// storage semantics in store.go). Quorum accounting for Set, Del and
+// Cas lives in write.go.
 //
 // The invariant the pieces share: every replicated write carries a
 // version from one frontend-wide monotonic clock, and every replica

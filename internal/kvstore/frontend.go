@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,11 +33,6 @@ type nodeSet struct {
 	clients  []*Client
 	inflight []*atomic.Int64
 	addrs    []string
-	// batches are per-node write batchers (immediate-dispatch mode):
-	// the quorum fan-out enqueues a write for every replica through
-	// these before waiting on any, so the W frames overlap — and on
-	// pipelined backend clients leave in one writev per node.
-	batches []*Batch
 }
 
 // Selection chooses how the frontend picks a replica for a GET.
@@ -368,12 +362,10 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		clients:  make([]*Client, n),
 		inflight: make([]*atomic.Int64, n),
 		addrs:    append([]string(nil), cfg.BackendAddrs...),
-		batches:  make([]*Batch, n),
 	}
 	for i, addr := range cfg.BackendAddrs {
 		ns.clients[i] = NewClientWithConfig(addr, ccfg)
 		ns.inflight[i] = new(atomic.Int64)
-		ns.batches[i] = ns.clients[i].Batch(BatchOptions{})
 	}
 	f.fleet.Store(ns)
 	rep, err := f.newRepairer(bootIDs)
@@ -706,125 +698,6 @@ func (f *Frontend) noteBackendError(node int, err error) {
 	f.backendErrs.Inc()
 }
 
-// nodeErr is one replica's outcome in a quorum fan-out.
-type nodeErr struct {
-	node int
-	err  error
-}
-
-// fanoutWrite issues one write per replica through the per-node write
-// batchers and collects outcomes in group order. Every frame is
-// enqueued before any response is awaited, so the fan-out completes in
-// one overlapped round trip instead of W sequential ones — and when
-// the backend clients are pipelined the frames share the writer's
-// writev batches, so a W-replica write costs one flush per backend.
-// Writes to distinct replicas commute (each applies highest-version-
-// wins independently), so overlapping them does not change any
-// observable history; the breaker, hint queue, and inflight gauges are
-// all safe under the concurrency.
-func (f *Frontend) fanoutWrite(ns *nodeSet, group []int, enqueue func(*Batch) *BatchPending) []nodeErr {
-	pendings := make([]*BatchPending, len(group))
-	for i, node := range group {
-		ns.inflight[node].Add(1)
-		pendings[i] = enqueue(ns.batches[node])
-	}
-	out := make([]nodeErr, len(group))
-	for i, node := range group {
-		err := pendings[i].Wait()
-		ns.inflight[node].Add(-1)
-		out[i] = nodeErr{node: node, err: err}
-	}
-	return out
-}
-
-// Set writes the key's group with a fresh logical version and succeeds
-// once W (FrontendConfig.WriteQuorum) replicas ack. Replicas that miss
-// the write are queued for hinted handoff; because every replica applies
-// writes highest-version-wins, the replay is idempotent and the group
-// converges to this value (or a newer one) regardless of delivery order.
-// Below W the error is returned, but surviving replicas keep the write —
-// the system favors availability over strict atomicity, like the
-// Dynamo-style systems the paper cites, and the version ordering keeps
-// the partial write from ever rolling back a newer one.
-func (f *Frontend) Set(key string, value []byte) error {
-	_, err := f.SetV(key, value)
-	return err
-}
-
-// SetV is Set returning the logical version the write was stamped with:
-// the handle a caller chains a Cas onto, and the ground truth recorded
-// consistency histories need to bind values to versions.
-func (f *Frontend) SetV(key string, value []byte) (uint64, error) {
-	f.requestsTotal.Inc()
-	f.setsTotal.Inc()
-	// Detach any in-flight miss fetch for this key once the write is
-	// done: a miss arriving after the write must fetch post-write state,
-	// not join a flight whose backend reads predate it.
-	defer f.flights.Forget(key)
-	// Epoch write barrier: the group and the epoch stamp must come from
-	// one generation — Rotate's flip waits for writes in flight here.
-	f.rotMu.RLock()
-	defer f.rotMu.RUnlock()
-	epoch, cur, prev := f.part.Snapshot()
-	id := KeyID(key)
-	if prev != nil {
-		// The key legitimately exists again: drop any tombstone a
-		// rotation-era Del left, or the migrator would skip it.
-		f.tombMu.Lock()
-		delete(f.tombs, key)
-		f.tombMu.Unlock()
-	}
-	ver := f.nextVer()
-	acks := 0
-	var failures []string
-	busies := 0
-	ns := f.fleet.Load()
-	for _, r := range f.fanoutWrite(ns, cur.Group(id), func(b *Batch) *BatchPending {
-		return b.SetVersioned(key, value, epoch, ver)
-	}) {
-		if r.err != nil {
-			f.noteBackendError(r.node, r.err)
-			if errors.Is(r.err, ErrBusy) {
-				busies++
-			}
-			failures = append(failures, fmt.Sprintf("node %d: %v", r.node, r.err))
-			f.enqueueHint(repair.Hint{Node: r.node, Key: key, Value: value, Epoch: epoch, Ver: ver})
-		} else {
-			f.health.onSuccess(r.node)
-			acks++
-		}
-	}
-	if len(failures) == 0 && prev != nil {
-		// Every replica of the NEW group holds the value at the new
-		// epoch: readers may skip the old-generation fallback for this
-		// key from now on. (Quorum success is NOT enough — a replica that
-		// missed the write may only hold the old-generation copy.)
-		f.part.MarkMigrated(id)
-	}
-	if acks < f.writeQuorum {
-		// Below quorum the write's fate is ambiguous: some replicas hold
-		// the new value, and the cached (old) entry would contradict
-		// them. Drop it.
-		f.cacheRemove(key)
-		if busies == len(failures) {
-			// Every failure was a shed: keep the busy classification so
-			// callers back off instead of treating the node as broken.
-			return 0, fmt.Errorf("kvstore: set %q: %d/%d acks (need %d): %s: %w",
-				key, acks, acks+len(failures), f.writeQuorum, strings.Join(failures, "; "), ErrBusy)
-		}
-		return 0, fmt.Errorf("kvstore: set %q: %d/%d acks (need %d): %s",
-			key, acks, acks+len(failures), f.writeQuorum, strings.Join(failures, "; "))
-	}
-	// Refresh the cache only if the key is already cached — a write must
-	// not evict a popular entry for a cold key. (With quorum met the new
-	// value is the winning version cluster-wide, so caching it is sound
-	// even while hinted replicas lag.)
-	if f.cache != nil {
-		f.cache.PutIfPresent(KeyID(key), encodeEntry(key, ver, value))
-	}
-	return ver, nil
-}
-
 // MGet serves a batch read: cached keys are answered locally, the misses
 // are grouped by their first-choice replica and fetched with one OpMGet
 // per backend. Per-node failures fall back to single-key Gets (which
@@ -925,98 +798,6 @@ func (f *Frontend) MGet(keys []string) ([]proto.MGetResult, error) {
 	return results, nil
 }
 
-// Del writes a versioned tombstone to the key's group and invalidates
-// the cache, succeeding once W replicas ack. The tombstone (not a bare
-// delete) is what makes a partial Del safe: a replica that missed it
-// still holds the old value, but the tombstone's higher version beats
-// that value in every read, hint replay, and anti-entropy comparison —
-// the key cannot be resurrected by the lagging replica.
-func (f *Frontend) Del(key string) error {
-	_, err := f.DelV(key)
-	return err
-}
-
-// DelV is Del returning the version of the tombstone the delete wrote —
-// the threshold below which any later live sighting of the key is a
-// resurrection.
-func (f *Frontend) DelV(key string) (uint64, error) {
-	f.requestsTotal.Inc()
-	f.delsTotal.Inc()
-	// As in Set: once the tombstones are down, no later miss may join a
-	// fetch that started before them.
-	defer f.flights.Forget(key)
-	f.cacheRemove(key)
-	f.rotMu.RLock()
-	defer f.rotMu.RUnlock()
-	epoch, cur, prev := f.part.Snapshot()
-	id := KeyID(key)
-	group := cur.Group(id)
-	if prev != nil {
-		// Tombstone the rotation map FIRST: once the stone is down, a
-		// migration copy that already scanned the old value cannot
-		// re-create the key (moveEntry checks under tombMu before any
-		// I/O) — and taking tombMu here also waits out any copy already
-		// in flight, whose result the writes below then supersede.
-		f.tombMu.Lock()
-		f.tombs[key] = struct{}{}
-		f.tombMu.Unlock()
-	}
-	ver := f.nextVer()
-	acks := 0
-	var failures []string
-	busies := 0
-	ns := f.fleet.Load()
-	for _, r := range f.fanoutWrite(ns, group, func(b *Batch) *BatchPending {
-		return b.DelVersioned(key, epoch, ver)
-	}) {
-		if r.err != nil {
-			f.noteBackendError(r.node, r.err)
-			if errors.Is(r.err, ErrBusy) {
-				busies++
-			}
-			failures = append(failures, fmt.Sprintf("node %d: %v", r.node, r.err))
-			f.enqueueHint(repair.Hint{Node: r.node, Key: key, Epoch: epoch, Ver: ver, Del: true})
-		} else {
-			f.health.onSuccess(r.node)
-			acks++
-		}
-	}
-	// Old-generation homes are purged with a hard delete: they are not
-	// part of the quorum (the current group's tombstone already blocks
-	// the fallback read path), but a failed purge is still reported —
-	// the leftover entry would keep the migration scan from draining.
-	purgeFailed := 0
-	if prev != nil {
-		for _, node := range prev.Group(id) {
-			if containsNode(group, node) {
-				continue
-			}
-			ns.inflight[node].Add(1)
-			err := ns.clients[node].Del(key)
-			ns.inflight[node].Add(-1)
-			if err != nil {
-				f.noteBackendError(node, err)
-				if errors.Is(err, ErrBusy) {
-					busies++
-				}
-				failures = append(failures, fmt.Sprintf("node %d (old generation): %v", node, err))
-				purgeFailed++
-			} else {
-				f.health.onSuccess(node)
-			}
-		}
-	}
-	if acks < f.writeQuorum || purgeFailed > 0 {
-		if busies == len(failures) {
-			return 0, fmt.Errorf("kvstore: del %q: %d/%d acks (need %d): %s: %w",
-				key, acks, len(group), f.writeQuorum, strings.Join(failures, "; "), ErrBusy)
-		}
-		return 0, fmt.Errorf("kvstore: del %q: %d/%d acks (need %d): %s",
-			key, acks, len(group), f.writeQuorum, strings.Join(failures, "; "))
-	}
-	return ver, nil
-}
-
 // CacheStats returns the cache's hit/miss counters (zero Stats when no
 // cache is configured).
 func (f *Frontend) CacheStats() cache.Stats {
@@ -1078,25 +859,10 @@ func (f *Frontend) handle(req *proto.Request, _ *[]byte) *proto.Response {
 		}
 	case proto.OpSet:
 		ver, err := f.SetV(req.Key, req.Value)
-		if err != nil {
-			if errors.Is(err, ErrBusy) {
-				return &proto.Response{Status: proto.StatusBusy}
-			}
-			return errResponse("frontend", req.Op, err)
-		}
-		// The assigned version rides back so writers can chain a Cas (or
-		// record a checkable history) without a follow-up read. Old
-		// clients ignore the payload.
-		return &proto.Response{Status: proto.StatusOK, Payload: binary.BigEndian.AppendUint64(nil, ver)}
+		return writeResponse(req.Op, ver, err)
 	case proto.OpDel:
 		ver, err := f.DelV(req.Key)
-		if err != nil {
-			if errors.Is(err, ErrBusy) {
-				return &proto.Response{Status: proto.StatusBusy}
-			}
-			return errResponse("frontend", req.Op, err)
-		}
-		return &proto.Response{Status: proto.StatusOK, Payload: binary.BigEndian.AppendUint64(nil, ver)}
+		return writeResponse(req.Op, ver, err)
 	case proto.OpCas:
 		if req.Ver != 0 {
 			// The frontend owns the version clock for replicated writes; a
@@ -1104,18 +870,7 @@ func (f *Frontend) handle(req *proto.Request, _ *[]byte) *proto.Response {
 			return errResponse("frontend", req.Op, errors.New("explicit CAS version reserved for backend writes"))
 		}
 		ver, err := f.Cas(req.Key, req.Value, req.CasExpect)
-		var conflict *CasConflictError
-		switch {
-		case err == nil:
-			return &proto.Response{Status: proto.StatusOK, Payload: binary.BigEndian.AppendUint64(nil, ver)}
-		case errors.As(err, &conflict):
-			return &proto.Response{Status: proto.StatusConflict,
-				Payload: proto.EncodeCasConflictPayload(nil, conflict.Cur, conflict.Partial)}
-		case errors.Is(err, ErrBusy):
-			return &proto.Response{Status: proto.StatusBusy}
-		default:
-			return errResponse("frontend", req.Op, err)
-		}
+		return writeResponse(req.Op, ver, err)
 	case proto.OpMGet:
 		results, err := f.MGet(req.Keys)
 		if err != nil {

@@ -147,6 +147,27 @@ func BenchmarkFrontendGetWirePipelined(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontendSet drives the replicated write path directly (no
+// client wire): version stamp, the d=2 quorum fan-out over loopback, and
+// the cache refresh of a resident key. Serial, so allocs/op is the cost
+// of one write.
+func BenchmarkFrontendSet(b *testing.B) {
+	const hotKeys = 256
+	c, err := cache.NewSharded(cache.KindLFU, hotKeys*2, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lc, keys := benchFrontend(b, c, hotKeys)
+	val := []byte("hot-path-benchmark-value-0123456789abcdef")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := lc.Frontend.Set(keys[i%len(keys)], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStore exercises the storage engine alone, concurrently.
 func BenchmarkStore(b *testing.B) {
 	const keys = 4096

@@ -255,13 +255,11 @@ func (f *Frontend) growFleet(staged membership.View, joined map[string]*Client) 
 		clients:  append([]*Client(nil), old.clients...),
 		inflight: append([]*atomic.Int64(nil), old.inflight...),
 		addrs:    append([]string(nil), old.addrs...),
-		batches:  append([]*Batch(nil), old.batches...),
 	}
 	for len(ns.clients) <= maxID {
 		ns.clients = append(ns.clients, nil)
 		ns.inflight = append(ns.inflight, new(atomic.Int64))
 		ns.addrs = append(ns.addrs, "")
-		ns.batches = append(ns.batches, nil)
 	}
 	for _, n := range staged.Nodes {
 		if ns.clients[n.ID] == nil {
@@ -271,7 +269,6 @@ func (f *Frontend) growFleet(staged membership.View, joined map[string]*Client) 
 			}
 			ns.clients[n.ID] = c
 			ns.addrs[n.ID] = n.Addr
-			ns.batches[n.ID] = c.Batch(BatchOptions{})
 		}
 	}
 	f.fleet.Store(ns)
