@@ -76,12 +76,13 @@ membership:
 # routing, candidate-gated cache admission, load-hint piggyback,
 # invalidation, c* split), the tier chaos scenarios (frontend crash
 # mid-attack, secret rotation during the attack), the disttier mapping
-# package, the secguard auto-drain planner, and the two-layer Eq. 10
-# experiment — all under -race.
+# package, secctl (the guard's auto-drain planner and the admin verbs
+# against a live cluster), and the two-layer Eq. 10 experiment — all
+# under -race.
 disttier:
 	$(GO) test -race -v -run 'TestTier' ./internal/kvstore/ && \
 	$(GO) test -race ./internal/disttier/... && \
-	$(GO) test -race ./cmd/secguard/ && \
+	$(GO) test -race ./cmd/secctl/ && \
 	$(GO) test -race -v -run 'TestTwoLayer' ./internal/experiments/
 
 # Consistency fault matrix: recorded histories through asymmetric

@@ -1,8 +1,7 @@
-// Command secexperiments regenerates the paper's evaluation: one table
-// per figure (3a, 3b, 4, 5a, 5b) plus the ablations, printed as aligned
-// text or written as CSV files.
-//
-// Usage:
+// Command secexperiments runs everything offline. Its default mode
+// regenerates the paper's evaluation: one table per figure (3a, 3b, 4,
+// 5a, 5b) plus the ablations, printed as aligned text or written as CSV
+// files. Three subcommands carry the rest:
 //
 //	secexperiments                       # all figures, paper-size, text
 //	secexperiments -fig 3a               # one figure
@@ -10,11 +9,20 @@
 //	secexperiments -csv results/         # write CSVs instead of text
 //	secexperiments -fig ablations        # replication/policy/partitioner/cache ablations
 //	secexperiments -fig disttier         # two-layer frontend-tier experiment
+//
+//	secexperiments sim -n 1000 -d 3 -m 100000 -c 200 -workload adversarial
+//	secexperiments attack -n 1000 -d 3 -m 100000 -c 200 [-sweep | -emit-trace FILE]
+//	secexperiments cost rotation|membership|repair|wal|tier [-json FILE]
+//
+// sim runs one simulation scenario, attack drives the Theorem 1
+// adversary, and cost measures what the live machinery costs on an
+// in-process cluster (the BENCH_*.json baselines EXPERIMENTS.md records).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +32,13 @@ import (
 	"securecache/internal/sim"
 )
 
+// subcommands maps each subcommand to its runner; its report goes to w.
+var subcommands = map[string]func(args []string, w io.Writer) error{
+	"sim":    runSim,
+	"attack": runAttack,
+	"cost":   runCost,
+}
+
 type figure struct {
 	name string
 	run  func(experiments.Config) (*sim.Table, error)
@@ -32,6 +47,15 @@ type figure struct {
 }
 
 func main() {
+	if len(os.Args) > 1 {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			if err := sub(os.Args[2:], os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "secexperiments %s: %v\n", os.Args[1], err)
+				os.Exit(2)
+			}
+			return
+		}
+	}
 	var (
 		figFlag = flag.String("fig", "all", "which figure: 3a | 3b | 4 | 5a | 5b | disttier | critical | ablations | all")
 		small   = flag.Bool("small", false, "use scaled-down parameters (fast)")

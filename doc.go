@@ -20,9 +20,11 @@
 //     — a real networked key-value store implementing the architecture
 //     end-to-end over TCP
 //
-// Binaries under cmd/ expose the calculator (secbound), the simulator
-// (secsim), the adversary (secattack), the full evaluation
-// (secexperiments), and a deployable store (kvnode, kvfront, kvload).
+// Binaries under cmd/ are a deployable store (kvnode, kvfront, kvload),
+// the operator tool (secctl: status, rotate, join, drain, the guard, and
+// the provisioning calculator), and everything offline (secexperiments:
+// the full evaluation, one simulation, the adversary, and the in-process
+// cost baselines).
 // Start with README.md and examples/quickstart.
 //
 // The benchmarks in bench_test.go regenerate every figure of the paper's

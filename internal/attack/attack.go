@@ -7,7 +7,7 @@
 // The package glues the theory (internal/core: what the optimal pattern
 // is) to the simulator (internal/sim: what that pattern actually achieves
 // against a concrete random partition), and is what the Figure 4/5
-// experiments and the secattack binary drive.
+// experiments and `secexperiments attack` drive.
 package attack
 
 import (

@@ -755,7 +755,7 @@ func (f *Frontend) MGet(keys []string) ([]proto.MGetResult, error) {
 			// loop. Not through f.Get — the batch already counted
 			// requests_total and the per-key cache misses; re-entering
 			// the instrumented path would double them on exactly the
-			// counters secguard watches.
+			// counters `secctl guard` watches.
 			f.noteBackendError(node, err)
 			for _, i := range idxs {
 				v, gerr := f.coalescedFetch(keys[i])

@@ -98,8 +98,8 @@ type pendingView struct {
 }
 
 // MembershipStatus is the observable membership state (also the
-// payload of the OpMembers wire verb, which is how kvload and secguard
-// discover the live cluster shape).
+// payload of the OpMembers wire verb and of the admin GET /membership,
+// which is how kvload and `secctl guard` discover the live cluster shape).
 type MembershipStatus struct {
 	Version uint64 `json:"version"`
 	Epoch   uint32 `json:"epoch"`

@@ -441,7 +441,7 @@ func TestScaleUnderAttack(t *testing.T) {
 	}()
 
 	// window aggregates one duration of per-member request deltas, in
-	// member order — the shape cmd/secguard feeds the guard.
+	// member order — the shape `secctl guard` feeds the guard.
 	window := func(members []int, dur time.Duration) []float64 {
 		prev := make([]uint64, len(members))
 		for i, id := range members {

@@ -903,7 +903,7 @@ func TestMembershipRingPartitioner(t *testing.T) {
 // d/(n+1) fraction of the stored keys (counted by the migrator itself)
 // and re-tag the rest in place, and the drain back out must stay in the
 // same regime. This is the BENCH_membership.json ring episode
-// (cmd/secmember -local) as a CI regression — the dense hash would
+// (`secexperiments cost membership`) as a CI regression — the dense hash would
 // realize ≈1.0 on both legs.
 func TestMembershipRingMovedFractionRealized(t *testing.T) {
 	const (

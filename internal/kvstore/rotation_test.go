@@ -374,7 +374,7 @@ func TestRotateUnderAttack(t *testing.T) {
 	}
 
 	// The responder drives the rotation through the admin verb, exactly
-	// as cmd/secguard -respond does in a real deployment. No seed
+	// as `secctl guard -respond` does in a real deployment. No seed
 	// parameter: the new secret comes from the frontend's own entropy.
 	rotateURL := "http://" + lc.AdminAddr + "/rotate"
 	responder, err := rotation.NewResponder(rotation.ResponderConfig{
@@ -490,7 +490,7 @@ func TestRotateUnderAttack(t *testing.T) {
 	}()
 
 	// Detection loop: 100ms windows over per-backend request deltas, the
-	// same signal cmd/secguard scrapes in production.
+	// same signal `secctl guard` scrapes in production.
 	window := func(prev []uint64) ([]uint64, []float64) {
 		cur := lc.BackendRequestCounts()
 		loads := make([]float64, len(cur))

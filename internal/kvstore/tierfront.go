@@ -114,15 +114,6 @@ func (ts *tierState) isCandidate(keyID uint64) bool {
 // size returns k, the current tier width.
 func (ts *tierState) size() int { return ts.m.Load().Size() }
 
-// TierID returns this frontend's tier member ID (-1 when not in tier
-// mode).
-func (f *Frontend) TierID() int {
-	if f.tier == nil {
-		return -1
-	}
-	return f.tier.id
-}
-
 // TierStatus reports the live tier view (zero value when not in tier
 // mode).
 func (f *Frontend) TierStatus() TierStatus {

@@ -12,7 +12,8 @@ import (
 // TierCluster is an in-process deployment of the two-layer
 // architecture on loopback TCP: n backends shared by k tier frontends,
 // plus a TierClient wired to all of them. It exists for the tier tests,
-// the two-layer experiments, and the sectier benchmark.
+// the two-layer experiments, and the `secexperiments cost tier`
+// baseline.
 type TierCluster struct {
 	Backends     []*Backend
 	BackendAddrs []string
@@ -131,34 +132,6 @@ func (tcl *TierCluster) RotateAll(newSeed uint64) error {
 		}
 		if _, err := f.Rotate(newSeed); err != nil {
 			return fmt.Errorf("kvstore: rotate frontend %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// JoinAll joins backend addrs on every live frontend, in tier-ID order
-// so every frontend allocates the same grow-only global IDs for the new
-// nodes. Queued behind any in-flight change per frontend.
-func (tcl *TierCluster) JoinAll(addrs ...string) error {
-	for i, f := range tcl.Frontends {
-		if f == nil {
-			continue
-		}
-		if _, err := f.Join(addrs...); err != nil {
-			return fmt.Errorf("kvstore: join on frontend %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// DrainAll drains backend ids on every live frontend.
-func (tcl *TierCluster) DrainAll(ids ...int) error {
-	for i, f := range tcl.Frontends {
-		if f == nil {
-			continue
-		}
-		if _, err := f.Drain(ids...); err != nil {
-			return fmt.Errorf("kvstore: drain on frontend %d: %w", i, err)
 		}
 	}
 	return nil

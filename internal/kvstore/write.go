@@ -347,26 +347,28 @@ func (f *Frontend) Cas(key string, value []byte, expect uint64) (uint64, error) 
 	// quorum that holds the newer state decides).
 	conflictCur := uint64(0) // highest newer-than-expect live version seen
 	laggingCur := uint64(0)  // highest older-than-expect live version seen
-	var lagging []int
+	lagging := 0
 	for _, c := range q.conflicts {
 		if c.ver > expect {
 			conflictCur = max(conflictCur, c.ver)
 		} else {
 			laggingCur = max(laggingCur, c.ver)
-			lagging = append(lagging, c.node)
+			lagging++
 		}
 	}
 	if q.ok() {
-		// Committed. Converge the stragglers: replicas that failed or
-		// were lagging converge to value@ver through hinted handoff — ver
-		// is the highest version in the group, so the replay wins
-		// everywhere. A replica that conflicted holds a below-quorum
-		// loser's version and is left to anti-entropy.
+		// Committed. Hint every replica that did not ack: failed, lagging
+		// and newer-than-expect alike. A hint applies highest-version-wins
+		// as a plain versioned set, not as a CAS, so it only brings
+		// forward what anti-entropy would do later: a newer-than-expect
+		// replica holds a below-quorum loser's copy, which the committed
+		// value@ver replaces unless its version is higher still, in which
+		// case the replay is a no-op.
 		for _, fe := range q.failed {
 			f.enqueueHint(repair.Hint{Node: fe.node, Key: key, Value: value, Epoch: epoch, Ver: ver})
 		}
-		for _, node := range lagging {
-			f.enqueueHint(repair.Hint{Node: node, Key: key, Value: value, Epoch: epoch, Ver: ver})
+		for _, c := range q.conflicts {
+			f.enqueueHint(repair.Hint{Node: c.node, Key: key, Value: value, Epoch: epoch, Ver: ver})
 		}
 		if f.cache != nil {
 			f.cache.PutIfPresent(id, encodeEntry(key, ver, value))
@@ -376,7 +378,7 @@ func (f *Frontend) Cas(key string, value []byte, expect uint64) (uint64, error) 
 	// Below quorum: whatever the cache holds may now contradict some
 	// replicas either way.
 	f.cacheRemove(key)
-	if conflictCur > 0 || (expect > 0 && len(lagging) > 0 && q.acks == 0 && len(q.failed) == 0) {
+	if conflictCur > 0 || (expect > 0 && lagging > 0 && q.acks == 0 && len(q.failed) == 0) {
 		// The expectation lost. Partial marks the ambiguous flavor: our
 		// value landed on acks replicas (or its fate is clouded by
 		// transport failures), so the caller cannot treat the swap as
@@ -400,6 +402,6 @@ func (f *Frontend) Cas(key string, value []byte, expect uint64) (uint64, error) 
 	// Busy only when every replica shed. A swap that reached a replica
 	// must not read as busy: TierClient.Cas replays busy swaps through
 	// another frontend, which would apply it a second time.
-	busy := q.acks == 0 && len(lagging) == 0 && q.allBusy()
-	return 0, q.err("cas", key, fmt.Sprintf(", %d lagging", len(lagging)), busy)
+	busy := q.acks == 0 && lagging == 0 && q.allBusy()
+	return 0, q.err("cas", key, fmt.Sprintf(", %d lagging", lagging), busy)
 }

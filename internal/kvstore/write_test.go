@@ -132,10 +132,41 @@ func TestCasOutcomesUnderDivergence(t *testing.T) {
 			t.Errorf("hints_queued_total = %d, want 1", n)
 		}
 		lagger := lc.Backends[f.Group("k")[2]].Store()
-		waitFor(t, 5*time.Second, func() bool {
+		converged := func() bool {
 			v, _, got, _, ok := lagger.GetVersioned("k")
 			return ok && got == ver && bytes.Equal(v, []byte("new"))
-		})
+		}
+		waitFor(t, 5*time.Second, converged)
+		if !converged() {
+			t.Fatal("lagging replica never received the committed value")
+		}
+	})
+
+	t.Run("newer-than-expect replica converges through hint replay", func(t *testing.T) {
+		// The third replica holds a below-quorum loser's copy at a
+		// version above expect. The swap commits on the other two, and
+		// the loser must get the committed value by hint, not wait for
+		// anti-entropy (disabled here).
+		lc := startCluster(t, LocalConfig{Nodes: 3, Replication: 3, PartitionSeed: 3, RepairInterval: -1})
+		f := lc.Frontend
+		seed(lc, "k", 10, 10, 20)
+		ver, err := f.Cas("k", []byte("new"), 10)
+		if err != nil {
+			t.Fatalf("cas with one newer replica of three: %v", err)
+		}
+		if n := f.Metrics().Counter("hints_queued_total").Value(); n < 1 {
+			t.Errorf("hints_queued_total = %d, want >= 1", n)
+		}
+		loser := lc.Backends[f.Group("k")[2]].Store()
+		converged := func() bool {
+			v, _, got, _, ok := loser.GetVersioned("k")
+			return ok && got == ver && bytes.Equal(v, []byte("new"))
+		}
+		waitFor(t, 4*hintDrainInterval, converged)
+		if !converged() {
+			v, _, got, _, _ := loser.GetVersioned("k")
+			t.Fatalf("losing replica holds %q@%d after %v, want \"new\"@%d", v, got, 4*hintDrainInterval, ver)
+		}
 	})
 
 	t.Run("every replica older reports the highest version", func(t *testing.T) {

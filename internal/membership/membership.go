@@ -7,7 +7,7 @@
 // of truth the rest of the system derives from on every change: the
 // partitioner maps keys over the view's members, the auto-provisioner
 // recomputes c* = n·(ln ln n / ln d) + n·k′ + 1 from the member count,
-// and secguard re-derives its Eq. 10 verdict thresholds.
+// and `secctl guard` re-derives its Eq. 10 verdict thresholds.
 //
 // A view change is a two-phase transition mirroring the epoch rotation
 // it rides on (internal/rotation): Stage* opens a staged view (joining

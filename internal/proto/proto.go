@@ -120,8 +120,8 @@ const OpCas Op = 11
 // like OpStats; the StatusOK payload is a JSON document (the kvstore
 // MembershipStatus: view version, node list with states, the member
 // addresses, and the provisioned cache size). Load generators use it to
-// refresh their address lists when a node they are polling drains, and
-// secguard uses it to re-derive Eq. 10 thresholds when n changes.
+// refresh their address lists when a node they are polling drains; the
+// admin GET /membership serves the same view to operator tools.
 // Backends answer StatusError (they do not own the view).
 const OpMembers Op = 9
 
