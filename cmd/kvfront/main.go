@@ -3,7 +3,7 @@
 // misses to the back-end replica groups.
 //
 // The -cache-size flag is where the paper's result becomes operational:
-// size it with secbound (c* = ceil(n·k + 1)) and no adversarial client
+// size it with `secctl bound` (c* = ceil(n·k + 1)) and no adversarial client
 // can push any backend above the even share.
 //
 // With -tier-id the instance joins a distributed frontend tier: k
@@ -65,7 +65,7 @@ func main() {
 		rateLimit   = flag.Float64("rate-limit", 0, "shed client requests beyond this many per second (0 = unlimited)")
 		rateBurst   = flag.Float64("rate-burst", 0, "rate-limit burst size (0 = derived from the rate)")
 		admitWait   = flag.Duration("admission-wait", 0, "how long a request may wait for an in-flight slot before being shed (0 = default, negative = none)")
-		poolSize    = flag.Int("pool-size", 0, "idle connections pooled per backend (0 = default, negative = no pooling)")
+		poolSize    = flag.Int("pool-size", 0, "idle lockstep connections pooled per backend; unused, since backend connections are pipelined (one per backend)")
 		retryBudget = flag.Float64("retry-budget", 0, "shared backend retry-budget tokens (0 = default, negative = no budget)")
 		budgetRatio = flag.Float64("retry-budget-ratio", 0, "retry-budget refill per successful backend exchange (0 = default)")
 		idleTimeout = flag.Duration("idle-timeout", 0, "drop client connections idle longer than this (0 = keep forever)")

@@ -83,8 +83,10 @@ type ClientConfig struct {
 	// PipelineDepth > 0 switches the client to the pipelined transport
 	// (pipeline.go): all callers share one connection carrying up to
 	// PipelineDepth correlated frames in flight, written in writev
-	// batches and matched out of order. 0 keeps the lockstep
-	// conn-per-exchange transport. Depths above 1024 are clamped.
+	// batches and matched out of order. 0 or negative keeps the lockstep
+	// conn-per-exchange transport — except in FrontendConfig.Client,
+	// where 0 means DefaultBackendPipelineDepth and only a negative
+	// depth is lockstep. Depths above 1024 are clamped.
 	PipelineDepth int
 	// OnWindowWait, when non-nil, is invoked with the time a pipelined
 	// request spent blocked on the full in-flight window before
@@ -435,12 +437,18 @@ func (c *Client) Get(key string) ([]byte, error) {
 // GetV fetches key's value with its logical version. A live hit returns
 // (value, ver, false, nil); a tombstone returns (nil, ver, true,
 // ErrNotFound) — the version distinguishes "deleted at ver" from "never
-// heard of it" (ver 0, tomb false).
+// heard of it" (ver 0, tomb false). Like Get it recycles the request and
+// response structs; the value aliases the response's freshly allocated
+// payload, which nothing else holds.
 func (c *Client) GetV(key string) (value []byte, ver uint64, tomb bool, err error) {
-	resp, err := c.Do(&proto.Request{Op: proto.OpGetV, Key: key})
+	req := proto.AcquireRequest()
+	req.Op, req.Key = proto.OpGetV, key
+	resp, err := c.Do(req)
+	proto.ReleaseRequest(req)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	defer proto.ReleaseResponse(resp)
 	switch resp.Status {
 	case proto.StatusOK:
 		ver, value, err = proto.DecodeGetVPayload(resp.Payload)

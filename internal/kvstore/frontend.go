@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,12 +29,25 @@ import (
 // may still need purging after it recovers). Readers load the snapshot
 // once per operation; growFleet swaps in a longer one under rotateMu.
 // The inflight counters are shared pointers, so counts survive a swap
-// and writers racing it still hit the same cell.
+// and writers racing it still hit the same cell; so are the busy
+// averages beside them.
 type nodeSet struct {
 	clients  []*Client
 	inflight []*atomic.Int64
-	addrs    []string
+	// busy is, per node, a moving average of the inflight count the read
+	// path found when it ranked the node (×busyScale). It breaks
+	// least-inflight ties: see orderGroup.
+	busy  []*atomic.Int64
+	addrs []string
 }
+
+// busyScale is the fixed-point unit of nodeSet.busy; each sample moves
+// the average 1/2^busyShift of the way to it. The shift rounds down, so
+// an idle node's average decays to exactly 0.
+const (
+	busyScale = 256
+	busyShift = 3
+)
 
 // Selection chooses how the frontend picks a replica for a GET.
 type Selection string
@@ -75,7 +89,10 @@ type FrontendConfig struct {
 	Selection Selection
 	// Client configures per-request deadlines and retry policy for the
 	// backend connections (zero value = defaults). The frontend chains
-	// its retries_total counter onto Client.OnRetry.
+	// its retries_total counter onto Client.OnRetry. Unlike a plain
+	// Client, a zero PipelineDepth here means DefaultBackendPipelineDepth:
+	// each backend gets one pipelined conn. A negative depth selects the
+	// lockstep conn-per-exchange transport, pooled by MaxIdleConns.
 	Client ClientConfig
 	// Health configures the per-backend circuit breaker (zero value =
 	// defaults; FailureThreshold < 0 disables gating).
@@ -143,6 +160,15 @@ type FrontendConfig struct {
 	// tierfront.go); nil means solo operation.
 	Tier *TierConfig
 }
+
+// DefaultBackendPipelineDepth is the in-flight window of the pipelined
+// conn a frontend keeps to each backend when FrontendConfig.Client
+// leaves PipelineDepth zero. Every miss, quorum write, hint replay,
+// repair scan and probe to that backend shares the conn. A frontend puts
+// at most one frame per client request on a given backend's conn, so
+// the window only fills once a frontend has more requests in flight
+// than this, and then it pushes back on them.
+const DefaultBackendPipelineDepth = 128
 
 // Frontend is the paper's front end: it owns the cache and the secret
 // partition mapping, serves cache hits directly, and forwards misses to
@@ -335,6 +361,9 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		f.srv.load = &f.tier.inflight
 	}
 	ccfg := cfg.Client
+	if ccfg.PipelineDepth == 0 {
+		ccfg.PipelineDepth = DefaultBackendPipelineDepth
+	}
 	retries := f.metrics.Counter("retries_total")
 	userOnRetry := ccfg.OnRetry
 	ccfg.OnRetry = func() {
@@ -361,11 +390,13 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	ns := &nodeSet{
 		clients:  make([]*Client, n),
 		inflight: make([]*atomic.Int64, n),
+		busy:     make([]*atomic.Int64, n),
 		addrs:    append([]string(nil), cfg.BackendAddrs...),
 	}
 	for i, addr := range cfg.BackendAddrs {
 		ns.clients[i] = NewClientWithConfig(addr, ccfg)
 		ns.inflight[i] = new(atomic.Int64)
+		ns.busy[i] = new(atomic.Int64)
 	}
 	f.fleet.Store(ns)
 	rep, err := f.newRepairer(bootIDs)
@@ -493,57 +524,78 @@ func (f *Frontend) cacheRemove(key string) {
 // orderedReplicas returns the key's current-epoch replica group ordered
 // by the configured selection policy (first entry = first choice).
 func (f *Frontend) orderedReplicas(key string) []int {
-	return f.orderedGroup(f.part.Group(KeyID(key)))
+	return f.orderGroup(f.part.GroupAppend(nil, KeyID(key)))
 }
 
-// orderedGroup orders one replica group by the configured selection
-// policy. Factored out of orderedReplicas so the dual-epoch read path
-// (rotate.go) can apply the same policy to the previous generation's
-// group.
-func (f *Frontend) orderedGroup(group []int) []int {
-	ordered := append([]int(nil), group...)
+// groupBufs recycles the replica-group scratch of the per-request read
+// and write paths. A local [8]int would be the natural buffer, but it
+// reaches GroupAppend through the Partitioner interface, so the compiler
+// moves it to the heap on every call; pooling keeps a miss and a write
+// free of group allocations. Groups above 8 replicas still work — the
+// append simply outgrows the buffer.
+var groupBufs = sync.Pool{New: func() any { return new([8]int) }}
+
+// orderGroup orders one replica group in place by the configured
+// selection policy and returns it. The caller owns group; both the
+// single- and dual-epoch read paths (rotate.go) order through here.
+func (f *Frontend) orderGroup(group []int) []int {
 	switch f.cfg.Selection {
 	case SelectRandom:
 		// Stateless Fisher-Yates driven by an atomic splitmix stream.
-		for i := len(ordered) - 1; i > 0; i-- {
+		for i := len(group) - 1; i > 0; i-- {
 			j := int(f.nextRand() % uint64(i+1))
-			ordered[i], ordered[j] = ordered[j], ordered[i]
+			group[i], group[j] = group[j], group[i]
 		}
 	case SelectRoundRobin:
-		shift := int(f.rrState.Add(1) % uint64(len(ordered)))
-		rotated := make([]int, 0, len(ordered))
-		rotated = append(rotated, ordered[shift:]...)
-		rotated = append(rotated, ordered[:shift]...)
-		ordered = rotated
+		// Rotate left by shift with three reversals.
+		shift := int(f.rrState.Add(1) % uint64(len(group)))
+		slices.Reverse(group[:shift])
+		slices.Reverse(group[shift:])
+		slices.Reverse(group)
 	default: // SelectLeastInflight
-		// Selection sort by inflight count (d is tiny).
+		// Selection sort by inflight count (d is tiny). Ties go to the
+		// replica that has lately been less busy, then to group order. A
+		// fast backend hop leaves most ranks with nothing in flight, and
+		// group order alone then piled those ties onto each key's first
+		// replica. A lone caller still sees every average at 0, so each
+		// key keeps one replica, as in the paper's model.
 		ns := f.fleet.Load()
-		for i := 0; i < len(ordered); i++ {
+		for _, node := range group {
+			// A racy read-modify-write: a lost sample only slows the
+			// average a little.
+			b := ns.busy[node]
+			avg := b.Load()
+			b.Store(avg + (ns.inflight[node].Load()*busyScale-avg)>>busyShift)
+		}
+		less := func(a, b int) bool {
+			na, nb := ns.inflight[a].Load(), ns.inflight[b].Load()
+			return na < nb || na == nb && ns.busy[a].Load() < ns.busy[b].Load()
+		}
+		for i := 0; i < len(group); i++ {
 			best := i
-			for j := i + 1; j < len(ordered); j++ {
-				if ns.inflight[ordered[j]].Load() < ns.inflight[ordered[best]].Load() {
+			for j := i + 1; j < len(group); j++ {
+				if less(group[j], group[best]) {
 					best = j
 				}
 			}
-			ordered[i], ordered[best] = ordered[best], ordered[i]
+			group[i], group[best] = group[best], group[i]
 		}
 	}
 	// Health gating: backends with an open breaker are demoted to last
-	// resort (stable within each partition, so the policy order is kept
-	// among healthy replicas — and among open ones if all are down).
+	// resort. The partition is stable on both sides, so the policy order
+	// is kept among healthy replicas — and among open ones if all are
+	// down: each healthy node moves left past the demoted run before it.
 	if f.health != nil {
-		gated := make([]int, 0, len(ordered))
-		var demoted []int
-		for _, node := range ordered {
+		healthy := 0
+		for i, node := range group {
 			if f.health.healthy(node) {
-				gated = append(gated, node)
-			} else {
-				demoted = append(demoted, node)
+				copy(group[healthy+1:i+1], group[healthy:i])
+				group[healthy] = node
+				healthy++
 			}
 		}
-		ordered = append(gated, demoted...)
 	}
-	return ordered
+	return group
 }
 
 func (f *Frontend) nextRand() uint64 {

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"securecache/internal/cache"
@@ -145,6 +146,58 @@ func BenchmarkFrontendGetWirePipelined(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkFrontendGetMiss is the paper's attack path end to end: every
+// GET misses the frontend cache and pays the partition lookup, the
+// frontend→backend hop and the store read. 16 keys fit the cache and
+// the callers walk 8192 keys in order, so an entry is long evicted
+// before its key comes round again. The callers share one pipelined
+// client, as the benchmark's load generator does.
+func BenchmarkFrontendGetMiss(b *testing.B) {
+	const keys = 8192
+	c, err := cache.NewSharded(cache.KindLFU, 16, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lc, err := StartLocalCluster(LocalConfig{
+		Nodes:          4,
+		Replication:    2,
+		PartitionSeed:  0xbe5c,
+		Cache:          c,
+		RepairInterval: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { lc.Close() })
+	names := make([]string, keys)
+	val := []byte("miss-path-benchmark-value-0123456789abcdef")
+	for i := range names {
+		names[i] = fmt.Sprintf("miss-%05d", i)
+		// Straight into the replicas' stores: the write path is not what
+		// this measures, and the cache must start cold.
+		for _, node := range lc.Frontend.Group(names[i]) {
+			lc.Backends[node].Store().SetVersioned(names[i], val, 0, 1)
+		}
+	}
+	client := NewClientWithConfig(lc.FrontendAddr, ClientConfig{PipelineDepth: 64})
+	defer client.Close()
+	var next atomic.Uint64
+	b.SetParallelism(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := client.Get(names[next.Add(1)%keys]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	st := lc.Frontend.CacheStats()
+	b.ReportMetric(float64(st.Misses)/float64(st.Hits+st.Misses), "miss/lookup")
 }
 
 // BenchmarkFrontendSet drives the replicated write path directly (no

@@ -176,6 +176,9 @@ func (s *stubBackend) serveConn(conn net.Conn) {
 		default:
 			resp = &proto.Response{Status: proto.StatusError, Payload: []byte("stub: unexpected " + req.Op.String())}
 		}
+		// Echo the correlation ID as the real server does, so pipelined
+		// clients (the frontend's default) can match the answer.
+		resp.Corr = req.Corr
 		if err := proto.WriteResponse(w, resp); err != nil {
 			return
 		}

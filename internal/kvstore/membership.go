@@ -254,11 +254,13 @@ func (f *Frontend) growFleet(staged membership.View, joined map[string]*Client) 
 	ns := &nodeSet{
 		clients:  append([]*Client(nil), old.clients...),
 		inflight: append([]*atomic.Int64(nil), old.inflight...),
+		busy:     append([]*atomic.Int64(nil), old.busy...),
 		addrs:    append([]string(nil), old.addrs...),
 	}
 	for len(ns.clients) <= maxID {
 		ns.clients = append(ns.clients, nil)
 		ns.inflight = append(ns.inflight, new(atomic.Int64))
+		ns.busy = append(ns.busy, new(atomic.Int64))
 		ns.addrs = append(ns.addrs, "")
 	}
 	for _, n := range staged.Nodes {

@@ -224,6 +224,9 @@ func (pc *pipeConn) writeLoop() {
 	defer pc.wg.Done()
 	bufs := make([][]byte, 0, 64)
 	frames := make([]proto.Frame, 0, 64)
+	// WriteTo takes its receiver by pointer, so nb lives on the heap:
+	// declared once here, that is one allocation per conn, not per writev.
+	var nb net.Buffers
 	for {
 		var first proto.Frame
 		select {
@@ -262,7 +265,7 @@ func (pc *pipeConn) writeLoop() {
 		if d := pc.cfg.WriteTimeout; d > 0 {
 			pc.conn.SetWriteDeadline(time.Now().Add(d))
 		}
-		nb := net.Buffers(bufs)
+		nb = bufs
 		_, err := nb.WriteTo(pc.conn) // one writev for the whole batch
 		for _, f := range frames {
 			f.Release()

@@ -312,3 +312,186 @@ func waitUntil(d time.Duration, cond func() bool) error {
 	}
 	return nil
 }
+
+// TestFrontendPipelinesBackendHop: with the default client config the
+// frontend keeps one pipelined conn per backend, and 64 concurrent
+// misses all ride it as correlated frames instead of each taking a
+// lockstep conn of its own.
+func TestFrontendPipelinesBackendHop(t *testing.T) {
+	checkGoroutineLeaks(t)
+	lc := startCluster(t, LocalConfig{Nodes: 4, Replication: 2, PartitionSeed: 11, RepairInterval: -1})
+	const misses = 64
+	names := make([]string, misses)
+	for i := range names {
+		names[i] = fmt.Sprintf("pipe-hop-%d", i)
+		// Straight into the stores: the frontend has not dialed anything
+		// before the misses below.
+		for _, node := range lc.Frontend.Group(names[i]) {
+			lc.Backends[node].Store().SetVersioned(names[i], []byte(names[i]), 0, 1)
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, misses)
+	for _, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if v, err := lc.Frontend.Get(name); err != nil || string(v) != name {
+				errs <- fmt.Errorf("get %s = %q, %v", name, v, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i, b := range lc.Backends {
+		b.srv.mu.Lock()
+		conns := len(b.srv.conns)
+		b.srv.mu.Unlock()
+		if conns != 1 {
+			t.Errorf("backend %d holds %d frontend conns, want 1", i, conns)
+		}
+		if got := b.Metrics().Counter("pipelined_conns_total").Value(); got != 1 {
+			t.Errorf("backend %d: pipelined_conns_total = %d, want 1", i, got)
+		}
+		if got := b.Metrics().Counter("gets_total").Value(); got == 0 {
+			t.Errorf("backend %d served no GET", i)
+		}
+	}
+}
+
+// TestFrontendPipeDeathFailsOver kills a backend's conn while a window
+// of GETs waits on it. Every GET must still succeed from the other
+// replica, the pipe must redial once the backend is reachable again, and
+// the frontend's retry and breaker accounting must be the same as on
+// the lockstep transport under the same fault.
+func TestFrontendPipeDeathFailsOver(t *testing.T) {
+	type counts struct{ retries, errors, opens uint64 }
+	const window = 16 // GETs in flight; every other one ranks node 0 first
+	run := func(t *testing.T, depth int) counts {
+		checkGoroutineLeaks(t)
+		b0, addr0, err := StartBackend(0, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b0.Close()
+		b1, addr1, err := StartBackend(1, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b1.Close()
+		proxy, err := faultnet.Start(addr0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer proxy.Close()
+		f, err := NewFrontend(FrontendConfig{
+			BackendAddrs:   []string{proxy.Addr(), addr1},
+			Replication:    2,
+			PartitionSeed:  5,
+			Selection:      SelectRoundRobin, // alternates the first choice per GET
+			Client:         ClientConfig{PipelineDepth: depth, MaxRetries: -1},
+			RetryBudgetMax: -1,
+			Health:         HealthConfig{FailureThreshold: 3, ProbeInterval: time.Hour},
+			RepairInterval: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		const key = "pipe-death"
+		if err := f.Set(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		c0 := f.fleet.Load().clients[0]
+		if depth < 0 {
+			// Lockstep: leave exactly one pooled conn per GET that will
+			// rank node 0 first, so each of them dies on a reused conn.
+			var held []*clientConn
+			for i := 0; i < window/2; i++ {
+				cc, err := c0.getConn()
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, cc)
+			}
+			for _, cc := range held {
+				c0.putConn(cc)
+			}
+		}
+		c0.mu.Lock()
+		oldPipe := c0.pipe
+		c0.mu.Unlock()
+		if depth >= 0 && oldPipe == nil {
+			t.Fatal("frontend has no pipelined conn to node 0")
+		}
+
+		// Node 0 applies the GETs but its answers vanish, so half the
+		// window stays in flight on its conns until they are cut.
+		proxy.SetFaults(faultnet.Faults{DropToClient: true})
+		gets0 := b0.Metrics().Counter("gets_total").Value()
+		var wg sync.WaitGroup
+		errs := make(chan error, window)
+		for i := 0; i < window; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if v, err := f.Get(key); err != nil || string(v) != "v" {
+					errs <- fmt.Errorf("get = %q, %v", v, err)
+				}
+			}()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for b0.Metrics().Counter("gets_total").Value()-gets0 < window/2 {
+			if time.Now().After(deadline) {
+				t.Fatal("node 0 never received its half of the window")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Refuse redials first, then cut the live conns. Answers keep
+		// vanishing until the cut: one the proxy forwarded in between
+		// would let a GET succeed on node 0.
+		proxy.SetFaults(faultnet.Faults{DropToClient: true, RejectConns: true})
+		proxy.CloseExisting()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		m := f.Metrics()
+		got := counts{
+			retries: m.Counter("retries_total").Value(),
+			errors:  m.Counter("backend_errors_total").Value(),
+			opens:   m.Counter("breaker_open_total").Value(),
+		}
+
+		proxy.Clear()
+		if err := c0.Ping(); err != nil {
+			t.Fatalf("node 0 unreachable after the fault cleared: %v", err)
+		}
+		if depth >= 0 {
+			c0.mu.Lock()
+			pipe := c0.pipe
+			c0.mu.Unlock()
+			if pipe == nil || pipe == oldPipe {
+				t.Error("the pipe to node 0 was not redialed")
+			}
+		}
+		return got
+	}
+	var pipelined, lockstep counts
+	t.Run("pipelined", func(t *testing.T) { pipelined = run(t, 0) })
+	t.Run("lockstep", func(t *testing.T) { lockstep = run(t, -1) })
+	// One free retry per GET that died on node 0, each of which then
+	// counts one backend error; three consecutive failures open node 0's
+	// breaker once.
+	want := counts{retries: window / 2, errors: window / 2, opens: 1}
+	if pipelined != want || lockstep != want {
+		t.Errorf("pipelined %+v, lockstep %+v, want both %+v", pipelined, lockstep, want)
+	}
+}

@@ -112,6 +112,7 @@ func (p *connPipe) drain() {
 func pipeFlush(conn net.Conn, flushCh <-chan proto.Frame) {
 	bufs := make([][]byte, 0, 64)
 	frames := make([]proto.Frame, 0, 64)
+	var nb net.Buffers // escapes via WriteTo: one allocation per conn (see writeLoop)
 	dead := false
 	for first := range flushCh {
 		if dead {
@@ -139,7 +140,7 @@ func pipeFlush(conn net.Conn, flushCh <-chan proto.Frame) {
 				break coalesce
 			}
 		}
-		nb := net.Buffers(bufs)
+		nb = bufs
 		_, err := nb.WriteTo(conn)
 		for _, f := range frames {
 			f.Release()

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"securecache/internal/partition"
 	"securecache/internal/rotation"
 )
 
@@ -140,10 +141,17 @@ func (f *Frontend) fetchFromReplicas(key string) ([]byte, error) {
 func (f *Frontend) fetchReplicasVersioned(key string) ([]byte, uint64, error) {
 	id := KeyID(key)
 	_, cur, prev := f.part.Snapshot()
-	if prev == nil || f.part.Migrated(id) {
-		return f.fetchGroupVersioned(key, f.orderedGroup(cur.Group(id)))
+	// One group is consulted at a time and none outlives its fetch, so
+	// every generation's group is built in the same scratch buffer.
+	buf := groupBufs.Get().(*[8]int)
+	defer groupBufs.Put(buf)
+	fetch := func(p partition.Partitioner) ([]byte, uint64, error) {
+		return f.fetchGroupVersioned(key, f.orderGroup(p.GroupAppend(buf[:0], id)))
 	}
-	v, ver, err := f.fetchGroupVersioned(key, f.orderedGroup(cur.Group(id)))
+	if prev == nil || f.part.Migrated(id) {
+		return fetch(cur)
+	}
+	v, ver, err := fetch(cur)
 	if errors.Is(err, errDeleted) {
 		return nil, ver, ErrNotFound
 	}
@@ -151,14 +159,14 @@ func (f *Frontend) fetchReplicasVersioned(key string) ([]byte, uint64, error) {
 		return v, ver, err
 	}
 	f.metrics.Counter("rotation_fallback_reads_total").Inc()
-	v, ver, err = f.fetchGroupVersioned(key, f.orderedGroup(prev.Group(id)))
+	v, ver, err = fetch(prev)
 	switch {
 	case err == nil:
 		if f.part.Migrated(id) {
 			// A write or migration landed between our two reads, so the
 			// new group is authoritative now and the old value may be
 			// stale — re-read rather than return it.
-			return f.fetchGroupVersioned(key, f.orderedGroup(cur.Group(id)))
+			return fetch(cur)
 		}
 		f.readRepair(key, v, ver)
 		return v, ver, nil
@@ -167,7 +175,7 @@ func (f *Frontend) fetchReplicasVersioned(key string) ([]byte, uint64, error) {
 		// value is gone either way) — unless a migration purged the old
 		// copy between our two reads. One second look at the new group
 		// settles it (migration copies land before the purge).
-		v, ver, err = f.fetchGroupVersioned(key, f.orderedGroup(cur.Group(id)))
+		v, ver, err = fetch(cur)
 		if errors.Is(err, errDeleted) {
 			return nil, ver, ErrNotFound
 		}

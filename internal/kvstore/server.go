@@ -64,6 +64,7 @@ type connServer struct {
 	gate        *overload.Gate   // nil = unlimited
 	shedTotal   *metrics.Counter // requests answered StatusBusy
 	connsShed   *metrics.Counter // connections rejected at accept
+	pipelined   *metrics.Counter // connections upgraded to the pipeline
 	idleTimeout atomic.Int64     // ns; 0 = no limit
 
 	mu       sync.Mutex
@@ -79,6 +80,7 @@ func newConnServer(role string, reg *metrics.Registry, lim overload.Limits) *con
 		gate:      overload.NewGate(lim),
 		shedTotal: reg.Counter("shed_total"),
 		connsShed: reg.Counter("busy_conns_rejected_total"),
+		pipelined: reg.Counter("pipelined_conns_total"),
 		conns:     make(map[net.Conn]bool),
 	}
 }
@@ -178,6 +180,7 @@ func (s *connServer) serveConn(conn net.Conn) {
 		case req.Corr != 0:
 			if pipe == nil {
 				pipe = s.startPipe(conn)
+				s.pipelined.Inc()
 			}
 			if pipe.inline && s.fastOps.has(req.Op) {
 				resp, slot := s.admit(req, &scratch, s.fast)

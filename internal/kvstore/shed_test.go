@@ -75,7 +75,7 @@ func TestBackendMaxConnsRejectsAtAccept(t *testing.T) {
 		hold = append(hold, conn)
 	}
 	// Give the accept loop time to register both.
-	waitFor(t, time.Second, func() bool {
+	waitFor(t, time.Second, "a connection over MaxConns closed at accept", func() bool {
 		c3, err := net.Dial("tcp", addr)
 		if err != nil {
 			return true // refused outright also counts as rejected
@@ -138,20 +138,13 @@ func TestBackendMaxInflightSheds(t *testing.T) {
 
 	c := NewClientWithConfig(addr, ClientConfig{MaxRetries: -1})
 	defer c.Close()
-	gotBusy := false
-	waitFor(t, 2*time.Second, func() bool {
+	waitFor(t, 2*time.Second, "a request shed while the in-flight slot is held", func() bool {
 		_, err := c.Get("small")
-		if errors.Is(err, ErrBusy) {
-			gotBusy = true
-		}
-		return gotBusy
+		return errors.Is(err, ErrBusy)
 	})
-	if !gotBusy {
-		t.Fatal("no request was shed while the in-flight slot was held")
-	}
 	// Drain the big response: the slot frees and service resumes.
 	go io.Copy(io.Discard, slow)
-	waitFor(t, 2*time.Second, func() bool {
+	waitFor(t, 2*time.Second, "service resuming once the slot frees", func() bool {
 		_, err := c.Get("small")
 		return err == nil
 	})
@@ -403,16 +396,14 @@ func TestFrontendRetryBudgetMetric(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until true or the deadline elapses.
-func waitFor(t *testing.T, d time.Duration, cond func() bool) {
+// waitFor polls cond until it holds, and fails the test, naming what
+// was awaited, if it still does not once d has elapsed.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
-	for {
-		if cond() {
-			return
-		}
+	for !cond() {
 		if time.Now().After(deadline) {
-			return
+			t.Fatalf("%s: not seen within %v", what, d)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -13,6 +13,7 @@ package kvstore
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"securecache/internal/hashing"
 	"securecache/internal/proto"
@@ -42,8 +43,10 @@ type Store struct {
 	// Logging only applied writes is what keeps replay trivial — the log
 	// holds exactly the mutations that won their guard race, in the order
 	// they won it, so replay is unconditional last-wins with no version
-	// arithmetic re-run.
-	log *wal.Log
+	// arithmetic re-run. Atomic because a node may attach its log while
+	// its listener already runs: the load orders every append after the
+	// log's construction.
+	log atomic.Pointer[wal.Log]
 }
 
 type entry struct {

@@ -23,7 +23,7 @@ import (
 // the log. The store does not take ownership — the caller closes l
 // (Backend.Close does, for logs attached via OpenData).
 func (s *Store) AttachWAL(l *wal.Log) {
-	s.log = l
+	s.log.Store(l)
 }
 
 // logAppend appends one applied mutation to the attached log, if any.
@@ -34,10 +34,11 @@ func (s *Store) AttachWAL(l *wal.Log) {
 // it is logged, because it means the durability contract is degraded
 // until the disk recovers.
 func (s *Store) logAppend(key string, value []byte, epoch uint32, ver uint64, tomb bool) {
-	if s.log == nil {
+	l := s.log.Load()
+	if l == nil {
 		return
 	}
-	if err := s.log.Append(key, value, epoch, ver, tomb); err != nil {
+	if err := l.Append(key, value, epoch, ver, tomb); err != nil {
 		log.Printf("kvstore: wal append %q: %v", key, err)
 	}
 }

@@ -185,7 +185,9 @@ func (f *Frontend) SetV(key string, value []byte) (uint64, error) {
 		f.tombMu.Unlock()
 	}
 	ver := f.nextVer()
-	q := f.writeGroup(f.fleet.Load(), cur.Group(id), func(c *Client) (uint64, error) {
+	buf := groupBufs.Get().(*[8]int)
+	defer groupBufs.Put(buf)
+	q := f.writeGroup(f.fleet.Load(), cur.GroupAppend(buf[:0], id), func(c *Client) (uint64, error) {
 		return 0, c.SetVersioned(key, value, epoch, ver)
 	})
 	for _, fe := range q.failed {
@@ -240,7 +242,9 @@ func (f *Frontend) DelV(key string) (uint64, error) {
 	defer f.rotMu.RUnlock()
 	epoch, cur, prev := f.part.Snapshot()
 	id := KeyID(key)
-	group := cur.Group(id)
+	buf := groupBufs.Get().(*[8]int)
+	defer groupBufs.Put(buf)
+	group := cur.GroupAppend(buf[:0], id)
 	if prev != nil {
 		// Tombstone the rotation map FIRST: once the stone is down, a
 		// migration copy that already scanned the old value cannot
@@ -265,12 +269,17 @@ func (f *Frontend) DelV(key string) (uint64, error) {
 	// the leftover entry would keep the migration scan from draining.
 	purgeFailed := false
 	if prev != nil {
-		var stale []int
-		for _, node := range prev.Group(id) {
+		// The old generation's group lands behind the current one in the
+		// same buffer and is filtered in place to its old-only nodes.
+		stale := prev.GroupAppend(group, id)[len(group):]
+		n := 0
+		for _, node := range stale {
 			if !containsNode(group, node) {
-				stale = append(stale, node)
+				stale[n] = node
+				n++
 			}
 		}
+		stale = stale[:n]
 		purge := f.writeGroup(ns, stale, func(c *Client) (uint64, error) { return c.DelV(key) })
 		for _, fe := range purge.failed {
 			fe.where = " (old generation)"
@@ -338,7 +347,9 @@ func (f *Frontend) Cas(key string, value []byte, expect uint64) (uint64, error) 
 		f.tombMu.Unlock()
 	}
 	ver := f.nextVer()
-	q := f.writeGroup(f.fleet.Load(), cur.Group(id), func(c *Client) (uint64, error) {
+	buf := groupBufs.Get().(*[8]int)
+	defer groupBufs.Put(buf)
+	q := f.writeGroup(f.fleet.Load(), cur.GroupAppend(buf[:0], id), func(c *Client) (uint64, error) {
 		return c.CasVersioned(key, value, epoch, expect, ver)
 	})
 	// Split the conflict answers by direction: a NEWER live version is

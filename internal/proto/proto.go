@@ -671,14 +671,16 @@ func EncodeGetVPayload(ver uint64, value []byte) ([]byte, error) {
 	return append(out, value...), nil
 }
 
-// DecodeGetVPayload unpacks an OpGetV StatusOK payload.
+// DecodeGetVPayload unpacks an OpGetV StatusOK payload. value aliases
+// payload (capacity capped at its end); ReadResponse allocates every
+// payload afresh, so a caller that does not reuse payload can keep it.
 func DecodeGetVPayload(payload []byte) (ver uint64, value []byte, err error) {
 	if len(payload) < 8 {
 		return 0, nil, fmt.Errorf("%w: GETV payload %d bytes", ErrMalformed, len(payload))
 	}
 	ver = binary.BigEndian.Uint64(payload)
 	if len(payload) > 8 {
-		value = append([]byte(nil), payload[8:]...)
+		value = payload[8:len(payload):len(payload)]
 	}
 	return ver, value, nil
 }
