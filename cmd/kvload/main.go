@@ -369,20 +369,9 @@ func main() {
 		}
 		sort.Ints(ids)
 		fmt.Println("per-frontend request deltas (two-choice spread):")
-		var total, maxDelta uint64
-		for _, id := range ids {
-			delta := after[id] - frontBefore[id]
-			total += delta
-			if delta > maxDelta {
-				maxDelta = delta
-			}
-			fmt.Printf("  frontend %2d (%s): %d\n", id, tierMap[id], delta)
-		}
-		if total > 0 {
-			even := float64(total) / float64(len(ids))
-			fmt.Printf("normalized max frontend load: %.3f (hottest %d / even share %.1f)\n",
-				float64(maxDelta)/even, maxDelta, even)
-		}
+		printDeltas("frontend", requestDeltas(ids, func(i int) string {
+			return fmt.Sprintf("frontend %2d (%s)", ids[i], tierMap[ids[i]])
+		}, frontBefore, after))
 	}
 
 	if addrs := book.snapshot(); len(addrs) > 0 {
@@ -391,25 +380,58 @@ func main() {
 		}
 		after := backendCounts(addrs)
 		fmt.Println("per-backend request deltas:")
-		var total, maxDelta uint64
-		for i, addr := range addrs {
-			// A node that joined mid-run has no "before" sample; its full
-			// count is its delta.
-			delta := after[addr] - before[addr]
-			total += delta
-			if delta > maxDelta {
-				maxDelta = delta
-			}
-			fmt.Printf("  node %2d (%s): %d\n", i, addr, delta)
-		}
-		if total > 0 {
-			even := float64(total) / float64(len(addrs))
-			fmt.Printf("normalized max backend load: %.3f (hottest %d / even share %.1f)\n",
-				float64(maxDelta)/even, maxDelta, even)
-		} else {
+		if printDeltas("backend", requestDeltas(addrs, func(i int) string {
+			return fmt.Sprintf("node %2d (%s)", i, addrs[i])
+		}, before, after)) == 0 {
 			fmt.Println("backends saw no traffic (cache absorbed the attack)")
 		}
 	}
+}
+
+// nodeDelta is one node's request count over the run. ok is false, and
+// delta 0, when the node has no usable pair of samples: a stats fetch
+// failed before or after the run, the node joined mid-run, or its
+// counter went backwards (a restart).
+type nodeDelta struct {
+	label string
+	delta uint64
+	ok    bool
+}
+
+func requestDeltas[K comparable](nodes []K, label func(i int) string, before, after map[K]uint64) []nodeDelta {
+	rows := make([]nodeDelta, len(nodes))
+	for i, n := range nodes {
+		b, okBefore := before[n]
+		a, okAfter := after[n]
+		rows[i] = nodeDelta{label: label(i), ok: okBefore && okAfter && a >= b}
+		if rows[i].ok {
+			rows[i].delta = a - b
+		}
+	}
+	return rows
+}
+
+// printDeltas prints one line per node and the normalized max load over
+// the nodes with a delta, and returns their total.
+func printDeltas(kind string, rows []nodeDelta) uint64 {
+	var total, maxDelta uint64
+	counted := 0
+	for _, r := range rows {
+		if !r.ok {
+			fmt.Printf("  %s: skipped, no stats sample from both before and after the run\n", r.label)
+			continue
+		}
+		counted++
+		total += r.delta
+		maxDelta = max(maxDelta, r.delta)
+		fmt.Printf("  %s: %d\n", r.label, r.delta)
+	}
+	if total > 0 {
+		even := float64(total) / float64(counted)
+		fmt.Printf("normalized max %s load: %.3f (hottest %d / even share %.1f)\n",
+			kind, float64(maxDelta)/even, maxDelta, even)
+	}
+	return total
 }
 
 // quantileSet tracks several latency quantiles with one P² estimator

@@ -89,3 +89,22 @@ func TestBuildKeysAdversarialDefaultX(t *testing.T) {
 		t.Errorf("adversarial default queried %d distinct keys, want <= 101", len(seen))
 	}
 }
+
+// TestRequestDeltasSkipsMissingSamples: a node whose stats fetch failed
+// before or after the run, or whose counter went backwards, is skipped
+// instead of reporting an underflowed delta.
+func TestRequestDeltasSkipsMissingSamples(t *testing.T) {
+	nodes := []string{"a", "b", "c", "d"}
+	before := map[string]uint64{"a": 10, "c": 5, "d": 50}
+	after := map[string]uint64{"a": 30, "b": 7, "d": 20}
+	rows := requestDeltas(nodes, func(i int) string { return nodes[i] }, before, after)
+	want := []nodeDelta{{"a", 20, true}, {"b", 0, false}, {"c", 0, false}, {"d", 0, false}}
+	for i, w := range want {
+		if rows[i] != w {
+			t.Errorf("node %s: got %+v, want %+v", nodes[i], rows[i], w)
+		}
+	}
+	if total := printDeltas("backend", rows); total != 20 {
+		t.Errorf("total over the nodes with a delta = %d, want 20", total)
+	}
+}

@@ -110,10 +110,10 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		buf, _, tomb, ok := b.store.AppendValue((*scratch)[:0], req.Key)
 		*scratch = buf
 		if !ok || tomb {
-			return &proto.Response{Status: proto.StatusNotFound}
+			return reply(proto.StatusNotFound, nil)
 		}
 		b.hitsTotal.Inc()
-		return &proto.Response{Status: proto.StatusOK, Payload: buf}
+		return reply(proto.StatusOK, buf)
 	case proto.OpGetV:
 		b.getsTotal.Inc()
 		// Reserve the 8-byte version header, copy the value in under the
@@ -122,21 +122,21 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		buf, ver, tomb, ok := b.store.AppendValue(buf, req.Key)
 		*scratch = buf
 		if !ok {
-			return &proto.Response{Status: proto.StatusNotFound}
+			return reply(proto.StatusNotFound, nil)
 		}
 		binary.BigEndian.PutUint64(buf, ver)
 		if tomb {
 			// A tombstone is an authoritative miss: NotFound, but the
 			// version rides along so the frontend can tell "never heard
 			// of it" from "deleted at version v".
-			return &proto.Response{Status: proto.StatusNotFound, Payload: buf[:8]}
+			return reply(proto.StatusNotFound, buf[:8])
 		}
 		if len(buf)-8 > proto.MaxValueLen {
 			return errResponse(b.srv.role, req.Op,
 				fmt.Errorf("stored value exceeds %d bytes", proto.MaxValueLen))
 		}
 		b.hitsTotal.Inc()
-		return &proto.Response{Status: proto.StatusOK, Payload: buf}
+		return reply(proto.StatusOK, buf)
 	case proto.OpSet:
 		b.setsTotal.Inc()
 		if req.EpochGuard {
@@ -150,19 +150,19 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 			// still StatusOK — the stored state is at least as new.
 			b.store.SetVersioned(req.Key, req.Value, req.Epoch, req.Ver)
 		}
-		return &proto.Response{Status: proto.StatusOK}
+		return reply(proto.StatusOK, nil)
 	case proto.OpDel:
 		b.delsTotal.Inc()
 		if req.Ver != 0 {
 			// Versioned delete writes a tombstone (even over an absent
 			// key — the replica that DID have it may be down right now).
 			b.store.DeleteVersioned(req.Key, req.Epoch, req.Ver)
-			return &proto.Response{Status: proto.StatusOK}
+			return reply(proto.StatusOK, nil)
 		}
 		if !b.store.Delete(req.Key) {
-			return &proto.Response{Status: proto.StatusNotFound}
+			return reply(proto.StatusNotFound, nil)
 		}
-		return &proto.Response{Status: proto.StatusOK}
+		return reply(proto.StatusOK, nil)
 	case proto.OpCas:
 		b.casTotal.Inc()
 		// Single-replica compare-and-swap under the shard lock. The
@@ -174,9 +174,9 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		*scratch = buf
 		if !applied {
 			b.casConflicts.Inc()
-			return &proto.Response{Status: proto.StatusConflict, Payload: buf}
+			return reply(proto.StatusConflict, buf)
 		}
-		return &proto.Response{Status: proto.StatusOK, Payload: buf}
+		return reply(proto.StatusOK, buf)
 	case proto.OpMGet:
 		b.mgetsTotal.Inc()
 		b.getsTotal.Add(uint64(len(req.Keys)))
@@ -192,7 +192,7 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		if err != nil {
 			return errResponse(b.srv.role, req.Op, err)
 		}
-		return &proto.Response{Status: proto.StatusOK, Payload: payload}
+		return reply(proto.StatusOK, payload)
 	case proto.OpScan:
 		b.scansTotal.Inc()
 		entries, next := b.store.Scan(req.ScanCursor, int(req.ScanLimit), req.Epoch, scanPageBytes,
@@ -201,15 +201,15 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		if err != nil {
 			return errResponse(b.srv.role, req.Op, err)
 		}
-		return &proto.Response{Status: proto.StatusOK, Payload: payload}
+		return reply(proto.StatusOK, payload)
 	case proto.OpStats:
 		blob, err := b.metrics.Snapshot()
 		if err != nil {
 			return errResponse(b.srv.role, req.Op, fmt.Errorf("snapshot: %w", err))
 		}
-		return &proto.Response{Status: proto.StatusOK, Payload: blob}
+		return reply(proto.StatusOK, blob)
 	case proto.OpPing:
-		return &proto.Response{Status: proto.StatusOK}
+		return reply(proto.StatusOK, nil)
 	default:
 		return errResponse(b.srv.role, req.Op, errors.New("unsupported op"))
 	}
@@ -221,10 +221,7 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 // belong in the hands of an (adversarial) wire client.
 func errResponse(role string, op proto.Op, err error) *proto.Response {
 	log.Printf("kvstore: %s: %s failed: %v", role, op, err)
-	return &proto.Response{
-		Status:  proto.StatusError,
-		Payload: []byte(fmt.Sprintf("%s failed: internal error", op)),
-	}
+	return reply(proto.StatusError, []byte(fmt.Sprintf("%s failed: internal error", op)))
 }
 
 // Close stops accepting, closes all connections, and waits for handler

@@ -253,7 +253,7 @@ func TestEmptyReplicaDoesNotMaskSiblings(t *testing.T) {
 
 	// Force the empty replica first: the read must keep going and find
 	// the sibling's copy.
-	v, err := f.fetchFromGroup(key, []int{0, 1})
+	v, _, err := f.fetchGroupVersioned(key, []int{0, 1})
 	if err != nil || !bytes.Equal(v, want) {
 		t.Fatalf("fetch = %q, %v; empty replica masked its sibling", v, err)
 	}
@@ -300,7 +300,7 @@ func TestTombstoneSuppressesSiblingValue(t *testing.T) {
 	lc.Backends[0].Store().DeleteVersioned(key, 0, 50)
 	lc.Backends[1].Store().SetVersioned(key, chaosValue(3), 0, 40)
 
-	if v, err := lc.Frontend.fetchFromGroup(key, []int{0, 1}); !errors.Is(err, ErrNotFound) {
+	if v, _, err := lc.Frontend.fetchGroupVersioned(key, []int{0, 1}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("tombstoned key served from stale sibling: %q, %v", v, err)
 	}
 }

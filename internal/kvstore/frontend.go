@@ -198,9 +198,11 @@ type Frontend struct {
 	// cache is the concurrency-safe view of cfg.Cache (nil when caching
 	// is disabled): sharded caches are used directly, single-threaded
 	// policies get wrapped behind one mutex. flights coalesces concurrent
-	// misses on the same key into one backend fetch.
+	// misses on the same key into one backend fetch. fills orders cache
+	// fills against writes (cachePut).
 	cache   syncCache
 	flights flightGroup
+	fills   [fillStripes]fillStripe
 
 	// Hot-path counters, resolved once at construction. Registry lookups
 	// take a mutex and hash the name; at cache-hit rates that lookup was
@@ -499,7 +501,28 @@ func (f *Frontend) cacheGet(key string) ([]byte, uint64, bool) {
 	return decodeEntry(key, blob)
 }
 
-func (f *Frontend) cachePut(key string, ver uint64, value []byte) {
+// fillStripes is how many locks order cache fills against writes. A
+// miss reads its key's stripe generation before asking a replica, and
+// fills only if no write in the stripe has touched the cache since; a
+// write bumps the generation and updates the cache under the same lock.
+// So a fill never lands over a write acked while it was in flight.
+const fillStripes = 256
+
+type fillStripe struct {
+	mu  sync.Mutex
+	gen atomic.Uint64
+}
+
+func (f *Frontend) fillGen(key string) uint64 {
+	if f.cache == nil {
+		return 0
+	}
+	return f.fills[KeyID(key)%fillStripes].gen.Load()
+}
+
+// cachePut fills the cache with a replica's answer read after fillGen
+// returned gen.
+func (f *Frontend) cachePut(key string, gen, ver uint64, value []byte) {
 	if f.cache == nil {
 		return
 	}
@@ -511,15 +534,35 @@ func (f *Frontend) cachePut(key string, ver uint64, value []byte) {
 		ts.filtered.Inc()
 		return
 	}
-	f.cache.Put(id, encodeEntry(key, ver, value))
+	blob := encodeEntry(key, ver, value)
+	st := &f.fills[id%fillStripes]
+	st.mu.Lock()
+	if st.gen.Load() == gen {
+		f.cache.Put(id, blob)
+	}
+	st.mu.Unlock()
 }
 
-func (f *Frontend) cacheRemove(key string) {
+// cacheWrote applies a decided write: blob (an encodeEntry) refreshes
+// the entry only if cached — a write must not evict a popular entry for
+// a cold key — and nil drops it. Both void every fill read before.
+func (f *Frontend) cacheWrote(key string, blob []byte) {
 	if f.cache == nil {
 		return
 	}
-	f.cache.Remove(KeyID(key))
+	id := KeyID(key)
+	st := &f.fills[id%fillStripes]
+	st.mu.Lock()
+	st.gen.Add(1)
+	if blob != nil {
+		f.cache.PutIfPresent(id, blob)
+	} else {
+		f.cache.Remove(id)
+	}
+	st.mu.Unlock()
 }
+
+func (f *Frontend) cacheRemove(key string) { f.cacheWrote(key, nil) }
 
 // orderedReplicas returns the key's current-epoch replica group ordered
 // by the configured selection policy (first entry = first choice).
@@ -654,7 +697,7 @@ func (f *Frontend) GetV(key string) (value []byte, ver uint64, tomb bool, err er
 // coalescedFetch routes a cache miss through the singleflight group:
 // concurrent misses on one key become one replica fetch whose result
 // (value, not-found, or tombstone miss) every waiter shares. The leader
-// runs the full fetchFromReplicas path, so dual-epoch fallback, cache
+// runs the full fetchReplicasVersioned path, so dual-epoch fallback, cache
 // fill, and read-repair scheduling all still happen — once per flight
 // instead of once per caller.
 //
@@ -668,10 +711,12 @@ func (f *Frontend) GetV(key string) (value []byte, ver uint64, tomb bool, err er
 // and one fetch per storm is the behavior that protects the backends.
 func (f *Frontend) coalescedFetch(key string) ([]byte, error) {
 	if f.cache == nil {
-		return f.fetchFromReplicas(key)
+		v, _, err := f.fetchReplicasVersioned(key)
+		return v, err
 	}
 	v, err, shared := f.flights.Do(key, func() ([]byte, error) {
-		return f.fetchFromReplicas(key)
+		v, _, err := f.fetchReplicasVersioned(key)
+		return v, err
 	})
 	if shared {
 		f.coalesced.Inc()
@@ -679,19 +724,12 @@ func (f *Frontend) coalescedFetch(key string) ([]byte, error) {
 	return v, err
 }
 
-// fetchFromGroup is the failover read loop over one ordered replica
-// list, shared by the single- and dual-epoch read paths (fetchFromReplicas
-// in rotate.go). It carries no request-level instrumentation (no
-// requests_total, no cache hit/miss counts) — callers have already
-// accounted for the request — but does fill the cache and feed the
-// health tracker.
-func (f *Frontend) fetchFromGroup(key string, ordered []int) ([]byte, error) {
-	v, _, err := f.fetchGroupVersioned(key, ordered)
-	return v, err
-}
-
-// fetchGroupVersioned is fetchFromGroup with the replica's version
-// exposed (the dual-epoch path threads it into rotation read-repair).
+// fetchGroupVersioned is the failover read loop over one ordered replica
+// list, shared by the single- and dual-epoch read paths (rotate.go), and
+// returns the winning replica's version. It carries no request-level
+// instrumentation (no requests_total, no cache hit/miss counts) — callers
+// have already accounted for the request — but does fill the cache and
+// feed the health tracker.
 // The read stays O(1) in the common case — the first replica holding a
 // live value answers — but a clean miss no longer short-circuits:
 //
@@ -707,6 +745,7 @@ func (f *Frontend) fetchFromGroup(key string, ordered []int) ([]byte, error) {
 func (f *Frontend) fetchGroupVersioned(key string, ordered []int) ([]byte, uint64, error) {
 	var lastErr error
 	var empty []int // replicas that answered a clean miss before a hit
+	gen := f.fillGen(key)
 	ns := f.fleet.Load()
 	for _, node := range ordered {
 		ns.inflight[node].Add(1)
@@ -715,7 +754,10 @@ func (f *Frontend) fetchGroupVersioned(key string, ordered []int) ([]byte, uint6
 		switch {
 		case err == nil:
 			f.health.onSuccess(node)
-			f.cachePut(key, ver, v)
+			if h := testHooks.beforeFill.Load(); h != nil {
+				(*h)(key)
+			}
+			f.cachePut(key, gen, ver, v)
 			f.scheduleReadRepair(key, empty, v, ver)
 			return v, ver, nil
 		case errors.Is(err, ErrNotFound):
@@ -757,6 +799,7 @@ func (f *Frontend) noteBackendError(node int, err error) {
 func (f *Frontend) MGet(keys []string) ([]proto.MGetResult, error) {
 	f.requestsTotal.Inc()
 	results := make([]proto.MGetResult, len(keys))
+	gens := make([]uint64, len(keys))
 	var misses []int // indices into keys not answered by the cache
 	for i, key := range keys {
 		if v, _, ok := f.cacheGet(key); ok {
@@ -766,6 +809,18 @@ func (f *Frontend) MGet(keys []string) ([]proto.MGetResult, error) {
 		}
 		f.cacheMisses.Inc()
 		misses = append(misses, i)
+		gens[i] = f.fillGen(key)
+	}
+	// failover answers keys[i] through the single-key read path.
+	failover := func(i int) error {
+		v, err := f.coalescedFetch(keys[i])
+		switch {
+		case err == nil:
+			results[i] = proto.MGetResult{Found: true, Value: v}
+		case !errors.Is(err, ErrNotFound):
+			return err
+		}
+		return nil
 	}
 	// During a rotation the batch fast path cannot be trusted: an
 	// un-migrated key is absent from its new group, and OpMGet has no
@@ -775,14 +830,8 @@ func (f *Frontend) MGet(keys []string) ([]proto.MGetResult, error) {
 	// rotation commits.
 	if f.part.Rotating() {
 		for _, i := range misses {
-			v, gerr := f.coalescedFetch(keys[i])
-			switch {
-			case gerr == nil:
-				results[i] = proto.MGetResult{Found: true, Value: v}
-			case errors.Is(gerr, ErrNotFound):
-				results[i] = proto.MGetResult{}
-			default:
-				return nil, gerr
+			if err := failover(i); err != nil {
+				return nil, err
 			}
 		}
 		return results, nil
@@ -810,14 +859,8 @@ func (f *Frontend) MGet(keys []string) ([]proto.MGetResult, error) {
 			// counters `secctl guard` watches.
 			f.noteBackendError(node, err)
 			for _, i := range idxs {
-				v, gerr := f.coalescedFetch(keys[i])
-				switch {
-				case gerr == nil:
-					results[i] = proto.MGetResult{Found: true, Value: v}
-				case errors.Is(gerr, ErrNotFound):
-					results[i] = proto.MGetResult{}
-				default:
-					return nil, gerr
+				if err := failover(i); err != nil {
+					return nil, err
 				}
 			}
 			continue
@@ -830,21 +873,15 @@ func (f *Frontend) MGet(keys []string) ([]proto.MGetResult, error) {
 				// Confirm absence through the failover read (which also
 				// schedules read repair for the empty replica) before
 				// reporting it.
-				v, gerr := f.coalescedFetch(keys[i])
-				switch {
-				case gerr == nil:
-					results[i] = proto.MGetResult{Found: true, Value: v}
-				case errors.Is(gerr, ErrNotFound):
-					results[i] = proto.MGetResult{}
-				default:
-					return nil, gerr
+				if err := failover(i); err != nil {
+					return nil, err
 				}
 				continue
 			}
 			results[i] = fetched[j]
 			// The batch protocol carries no versions; fill at version 0
 			// ("unknown") — plain Gets serve it, versioned reads refresh it.
-			f.cachePut(keys[i], 0, fetched[j].Value)
+			f.cachePut(keys[i], gens[i], 0, fetched[j].Value)
 		}
 	}
 	return results, nil
@@ -868,7 +905,7 @@ func (f *Frontend) fast(req *proto.Request, _ *[]byte) *proto.Response {
 	}
 	f.requestsTotal.Inc()
 	f.cacheHits.Inc()
-	return &proto.Response{Status: proto.StatusOK, Payload: v}
+	return reply(proto.StatusOK, v)
 }
 
 // handle dispatches one wire request. Payloads are fresh or cache-owned
@@ -877,38 +914,24 @@ func (f *Frontend) handle(req *proto.Request, _ *[]byte) *proto.Response {
 	switch req.Op {
 	case proto.OpGet:
 		v, err := f.Get(req.Key)
-		switch {
-		case err == nil:
-			return &proto.Response{Status: proto.StatusOK, Payload: v}
-		case errors.Is(err, ErrNotFound):
-			return &proto.Response{Status: proto.StatusNotFound}
-		case errors.Is(err, ErrBusy):
-			// Every replica shed: propagate busy so the client backs
-			// off instead of retrying into a saturated cluster.
-			return &proto.Response{Status: proto.StatusBusy}
-		default:
-			return errResponse("frontend", req.Op, err)
+		if err != nil {
+			return replyErr(req.Op, err)
 		}
+		return reply(proto.StatusOK, v)
 	case proto.OpGetV:
 		v, ver, tomb, err := f.GetV(req.Key)
 		switch {
-		case err == nil:
-			payload, perr := proto.EncodeGetVPayload(ver, v)
-			if perr != nil {
-				return errResponse("frontend", req.Op, perr)
-			}
-			return &proto.Response{Status: proto.StatusOK, Payload: payload}
-		case errors.Is(err, ErrNotFound):
-			if tomb {
-				payload, _ := proto.EncodeGetVPayload(ver, nil)
-				return &proto.Response{Status: proto.StatusNotFound, Payload: payload}
-			}
-			return &proto.Response{Status: proto.StatusNotFound}
-		case errors.Is(err, ErrBusy):
-			return &proto.Response{Status: proto.StatusBusy}
-		default:
+		case tomb:
+			payload, _ := proto.EncodeGetVPayload(ver, nil)
+			return reply(proto.StatusNotFound, payload)
+		case err != nil:
+			return replyErr(req.Op, err)
+		}
+		payload, err := proto.EncodeGetVPayload(ver, v)
+		if err != nil {
 			return errResponse("frontend", req.Op, err)
 		}
+		return reply(proto.StatusOK, payload)
 	case proto.OpSet:
 		ver, err := f.SetV(req.Key, req.Value)
 		return writeResponse(req.Op, ver, err)
@@ -926,33 +949,30 @@ func (f *Frontend) handle(req *proto.Request, _ *[]byte) *proto.Response {
 	case proto.OpMGet:
 		results, err := f.MGet(req.Keys)
 		if err != nil {
-			if errors.Is(err, ErrBusy) {
-				return &proto.Response{Status: proto.StatusBusy}
-			}
-			return errResponse("frontend", req.Op, err)
+			return replyErr(req.Op, err)
 		}
 		payload, err := proto.EncodeMGetPayload(results)
 		if err != nil {
 			return errResponse("frontend", req.Op, err)
 		}
-		return &proto.Response{Status: proto.StatusOK, Payload: payload}
+		return reply(proto.StatusOK, payload)
 	case proto.OpStats:
 		blob, err := f.metrics.Snapshot()
 		if err != nil {
 			return errResponse("frontend", req.Op, err)
 		}
-		return &proto.Response{Status: proto.StatusOK, Payload: blob}
+		return reply(proto.StatusOK, blob)
 	case proto.OpMembers:
 		blob, err := json.Marshal(f.MembershipStatus())
 		if err != nil {
 			return errResponse("frontend", req.Op, err)
 		}
-		return &proto.Response{Status: proto.StatusOK, Payload: blob}
+		return reply(proto.StatusOK, blob)
 	case proto.OpInvalidate:
 		f.Invalidate(req.Key)
-		return &proto.Response{Status: proto.StatusOK}
+		return reply(proto.StatusOK, nil)
 	case proto.OpPing:
-		return &proto.Response{Status: proto.StatusOK}
+		return reply(proto.StatusOK, nil)
 	default:
 		return errResponse("frontend", req.Op, errors.New("unsupported op"))
 	}

@@ -22,4 +22,6 @@ var testHooks struct {
 	// Store.CasVersioned: every CAS applies, so two CAS ops expecting
 	// the same version can both report success.
 	disableCasCheck atomic.Bool
+	// beforeFill runs between a miss's replica read and its cache fill.
+	beforeFill atomic.Pointer[func(key string)]
 }

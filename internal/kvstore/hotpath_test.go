@@ -194,15 +194,15 @@ func (s *stubBackend) getvCount() int {
 	return s.getv
 }
 
-// stubFrontend builds a cached frontend over one stub backend.
-func stubFrontend(t *testing.T, s *stubBackend) *Frontend {
+// stubFrontend builds a cached frontend over one stub backend at addr.
+func stubFrontend(t *testing.T, addr string) *Frontend {
 	t.Helper()
 	c, err := cache.NewSharded(cache.KindLRU, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := NewFrontend(FrontendConfig{
-		BackendAddrs:   []string{s.l.Addr().String()},
+		BackendAddrs:   []string{addr},
 		Replication:    1,
 		PartitionSeed:  7,
 		Cache:          c,
@@ -230,7 +230,7 @@ func TestCoalescedMissSingleFetch(t *testing.T) {
 		}
 		return &proto.Response{Status: proto.StatusOK, Payload: payload}
 	})
-	f := stubFrontend(t, s)
+	f := stubFrontend(t, s.l.Addr().String())
 
 	const readers = 8
 	var wg sync.WaitGroup
@@ -284,7 +284,7 @@ func TestCoalescedMissNeverServesTombstone(t *testing.T) {
 		}
 		return &proto.Response{Status: proto.StatusNotFound, Payload: payload}
 	})
-	f := stubFrontend(t, s)
+	f := stubFrontend(t, s.l.Addr().String())
 
 	const readers = 8
 	var wg sync.WaitGroup

@@ -328,8 +328,10 @@ func TestScaleUnderAttack(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	recordErr := func(err error) { firstErr.CompareAndSwap(nil, err) }
+	// A pointer to the error, not the error itself: atomic.Value panics
+	// when a CompareAndSwap stores a different dynamic type than before.
+	var firstErr atomic.Pointer[error]
+	recordErr := func(err error) { firstErr.CompareAndSwap(nil, &err) }
 
 	// Attackers: the concentrated stream runs through every phase.
 	for w := 0; w < 6; w++ {
@@ -563,7 +565,7 @@ func TestScaleUnderAttack(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if err := firstErr.Load(); err != nil {
-		t.Fatalf("correctness violation during the episode: %v", err)
+		t.Fatalf("correctness violation during the episode: %v", *err)
 	}
 	model := <-verifierDone
 

@@ -125,18 +125,12 @@ func (f *Frontend) RotationStatus() RotationStatus {
 	}
 }
 
-// fetchFromReplicas routes one read through the epoch-aware path: the
-// current generation's group first; only a clean NotFound may consult
-// the previous generation. Neither a transport failure (absence was
-// never established) nor a tombstone (absence is authoritative — the
-// old copy is precisely the deleted value) may fall back.
-func (f *Frontend) fetchFromReplicas(key string) ([]byte, error) {
-	v, _, err := f.fetchReplicasVersioned(key)
-	return v, err
-}
-
-// fetchReplicasVersioned is fetchFromReplicas with the winning replica's
-// logical version threaded through (a tombstone miss reports the
+// fetchReplicasVersioned routes one read through the epoch-aware path:
+// the current generation's group first; only a clean NotFound may
+// consult the previous generation. Neither a transport failure (absence
+// was never established) nor a tombstone (absence is authoritative — the
+// old copy is precisely the deleted value) may fall back. The winning
+// replica's logical version rides along (a tombstone miss reports the
 // tombstone's version alongside the NotFound-class error).
 func (f *Frontend) fetchReplicasVersioned(key string) ([]byte, uint64, error) {
 	id := KeyID(key)

@@ -35,12 +35,14 @@ type handlerFunc func(req *proto.Request, scratch *[]byte) *proto.Response
 // connServer is the one connection server both node roles run on: it
 // owns the listener, the live connections, admission control and the
 // per-connection read loop. A Backend or Frontend is only its handler —
-// the fields under "handler contract", set once before serve.
+// the fields under "handler contract", set once before serve. A handler
+// builds its response from proto.AcquireResponse: encode releases every
+// response it frames back to that pool.
 //
 // Scratch: handle and fast receive a reusable payload buffer and may
 // return a response that aliases it. There is one buffer per goroutine
 // that dispatches — the connection's read loop (lockstep requests and
-// inline fast answers) and each pipeline worker — and that goroutine
+// pipelined fast answers) and each pipeline handler — and that goroutine
 // encodes the response into a frame of its own before it dispatches
 // again, which is the only thing that makes the aliasing safe.
 type connServer struct {
@@ -144,8 +146,9 @@ func (s *connServer) serve(l net.Listener) error {
 // lockstep: each uncorrelated request is dispatched inline and answered
 // before the next is read. The first frame carrying a correlation ID
 // upgrades the connection to the pipeline (pipeserver.go) for the rest
-// of its life; legacy clients never send one, so the upgrade is
-// invisible to them.
+// of its life: fast ops are still answered here, everything else runs
+// concurrently, up to pipeQueue at once. Legacy clients never send a
+// correlation ID, so the upgrade is invisible to them.
 func (s *connServer) serveConn(conn net.Conn) {
 	var pipe *connPipe // nil while the peer is lockstep
 	defer func() {
@@ -182,17 +185,7 @@ func (s *connServer) serveConn(conn net.Conn) {
 				pipe = s.startPipe(conn)
 				s.pipelined.Inc()
 			}
-			if pipe.inline && s.fastOps.has(req.Op) {
-				resp, slot := s.admit(req, &scratch, s.fast)
-				if slot {
-					s.gate.Release()
-				}
-				if resp != nil {
-					pipe.flushCh <- s.encode(req, resp)
-					continue
-				}
-			}
-			pipe.reqCh <- req
+			pipe.dispatch(s, req, &scratch)
 		case pipe != nil:
 			// A pipelined peer never reverts to lockstep mid-stream; an
 			// uncorrelated frame here means the stream is corrupt.
@@ -236,7 +229,7 @@ func (s *connServer) admit(req *proto.Request, scratch *[]byte, fn handlerFunc) 
 		}
 	default:
 		s.shedTotal.Inc()
-		resp = &proto.Response{Status: proto.StatusBusy}
+		resp = reply(proto.StatusBusy, nil)
 	}
 	if resp != nil && s.load != nil {
 		if n := s.load.Load(); n > 0 {
@@ -245,6 +238,13 @@ func (s *connServer) admit(req *proto.Request, scratch *[]byte, fn handlerFunc) 
 		resp.LoadHinted = true
 	}
 	return resp, slot
+}
+
+// reply builds a handler's response in a pooled struct (see connServer).
+func reply(status proto.Status, payload []byte) *proto.Response {
+	resp := proto.AcquireResponse()
+	resp.Status, resp.Payload = status, payload
+	return resp
 }
 
 // encode frames resp under req's correlation ID and retires both

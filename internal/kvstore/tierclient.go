@@ -245,31 +245,31 @@ func (tc *TierClient) Del(key string) error {
 }
 
 func (tc *TierClient) writeThrough(key string, fn func(*Client) error) error {
-	_, err := tc.writeThroughV(key, func(c *Client) (uint64, error) { return 0, fn(c) })
+	_, err := tc.writeThroughV(key, failoverWorthy, func(c *Client) (uint64, error) { return 0, fn(c) })
 	return err
 }
 
-// writeThroughV is writeThrough with the write's logical version
-// threaded back to the caller.
-func (tc *TierClient) writeThroughV(key string, fn func(*Client) (uint64, error)) (uint64, error) {
+// writeThroughV sends one write through key's first candidate, retries
+// it on the second when retry(err) holds, and threads the write's
+// logical version back. Once the outcome is definite — success, or a CAS
+// conflict, which is news about the key's current state too — the
+// candidate it did not write through is invalidated.
+func (tc *TierClient) writeThroughV(key string, retry func(error) bool, fn func(*Client) (uint64, error)) (uint64, error) {
 	v := tc.view.Load()
 	first, second := tc.pick(v, key)
 	wrote := first
 	var ver uint64
-	err := tc.do(v, first, func(c *Client) error {
+	call := func(c *Client) error {
 		var err error
 		ver, err = fn(c)
 		return err
-	})
-	if failoverWorthy(err) && second != first {
-		wrote = second
-		err = tc.do(v, second, func(c *Client) error {
-			var err error
-			ver, err = fn(c)
-			return err
-		})
 	}
-	if err != nil {
+	err := tc.do(v, first, call)
+	if retry(err) && second != first {
+		wrote = second
+		err = tc.do(v, second, call)
+	}
+	if err != nil && !errors.Is(err, ErrCasConflict) {
 		return 0, err
 	}
 	if other := first + second - wrote; other != wrote {
@@ -277,7 +277,7 @@ func (tc *TierClient) writeThroughV(key string, fn func(*Client) (uint64, error)
 			c.Invalidate(key) // best-effort; see Set
 		}
 	}
-	return ver, nil
+	return ver, err // a conflict carries Cur, threaded through Client.Cas
 }
 
 // GetV fetches key with its logical version via the less-loaded
@@ -295,12 +295,12 @@ func (tc *TierClient) GetV(key string) (value []byte, ver uint64, tomb bool, err
 
 // SetV is Set returning the version the write committed at.
 func (tc *TierClient) SetV(key string, value []byte) (uint64, error) {
-	return tc.writeThroughV(key, func(c *Client) (uint64, error) { return c.SetV(key, value) })
+	return tc.writeThroughV(key, failoverWorthy, func(c *Client) (uint64, error) { return c.SetV(key, value) })
 }
 
 // DelV is Del returning the tombstone's version.
 func (tc *TierClient) DelV(key string) (uint64, error) {
-	return tc.writeThroughV(key, func(c *Client) (uint64, error) { return c.DelV(key) })
+	return tc.writeThroughV(key, failoverWorthy, func(c *Client) (uint64, error) { return c.DelV(key) })
 }
 
 // Cas performs a replicated compare-and-swap through one candidate
@@ -315,38 +315,8 @@ func (tc *TierClient) DelV(key string) (uint64, error) {
 // linearization point, which is exactly what CAS must never do). Those
 // errors surface to the caller, who owns the read-validate-retry loop.
 func (tc *TierClient) Cas(key string, value []byte, expect uint64) (uint64, error) {
-	v := tc.view.Load()
-	first, second := tc.pick(v, key)
-	wrote := first
-	var ver uint64
-	err := tc.do(v, first, func(c *Client) error {
-		var e error
-		ver, e = c.Cas(key, value, expect)
-		return e
-	})
-	if err != nil && errors.Is(err, ErrBusy) && second != first {
-		wrote = second
-		err = tc.do(v, second, func(c *Client) error {
-			var e error
-			ver, e = c.Cas(key, value, expect)
-			return e
-		})
-	}
-	if err != nil && !errors.Is(err, ErrCasConflict) {
-		return 0, err
-	}
-	// Success and conflict both carry authoritative news about the key's
-	// current state; the other candidate's cached copy is stale either
-	// way (on conflict it is what misled this caller's expectation).
-	if other := first + second - wrote; other != wrote {
-		if c := v.clients[other]; c != nil {
-			c.Invalidate(key) // best-effort; see Set
-		}
-	}
-	if err != nil {
-		return ver, err // the conflict, with Cur threaded through Client.Cas
-	}
-	return ver, nil
+	return tc.writeThroughV(key, func(err error) bool { return errors.Is(err, ErrBusy) },
+		func(c *Client) (uint64, error) { return c.Cas(key, value, expect) })
 }
 
 // MGet fetches many keys, grouping them by picked frontend so each

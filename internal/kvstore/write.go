@@ -133,15 +133,25 @@ func (f *Frontend) writeGroup(ns *nodeSet, group []int, write func(*Client) (uin
 // record a checkable history) without a follow-up read; old clients
 // ignore the payload.
 func writeResponse(op proto.Op, ver uint64, err error) *proto.Response {
+	if err != nil {
+		return replyErr(op, err)
+	}
+	return reply(proto.StatusOK, binary.BigEndian.AppendUint64(nil, ver))
+}
+
+// replyErr answers a failed frontend verb. A CAS conflict, a miss and a
+// shed keep their status — busy means every replica shed, so the client
+// backs off instead of retrying into a saturated cluster; anything else
+// is logged and sanitized.
+func replyErr(op proto.Op, err error) *proto.Response {
 	var conflict *CasConflictError
 	switch {
-	case err == nil:
-		return &proto.Response{Status: proto.StatusOK, Payload: binary.BigEndian.AppendUint64(nil, ver)}
 	case errors.As(err, &conflict):
-		return &proto.Response{Status: proto.StatusConflict,
-			Payload: proto.EncodeCasConflictPayload(nil, conflict.Cur, conflict.Partial)}
+		return reply(proto.StatusConflict, proto.EncodeCasConflictPayload(nil, conflict.Cur, conflict.Partial))
+	case errors.Is(err, ErrNotFound):
+		return reply(proto.StatusNotFound, nil)
 	case errors.Is(err, ErrBusy):
-		return &proto.Response{Status: proto.StatusBusy}
+		return reply(proto.StatusBusy, nil)
 	default:
 		return errResponse("frontend", op, err)
 	}
@@ -207,12 +217,10 @@ func (f *Frontend) SetV(key string, value []byte) (uint64, error) {
 		f.cacheRemove(key)
 		return 0, q.err("set", key, "", q.allBusy())
 	}
-	// Refresh the cache only if the key is already cached — a write must
-	// not evict a popular entry for a cold key. (With quorum met the new
-	// value is the winning version cluster-wide, so caching it is sound
-	// even while hinted replicas lag.)
+	// With quorum met the new value is the winning version cluster-wide,
+	// so caching it is sound even while hinted replicas lag.
 	if f.cache != nil {
-		f.cache.PutIfPresent(id, encodeEntry(key, ver, value))
+		f.cacheWrote(key, encodeEntry(key, ver, value))
 	}
 	return ver, nil
 }
@@ -235,9 +243,9 @@ func (f *Frontend) DelV(key string) (uint64, error) {
 	f.requestsTotal.Inc()
 	f.delsTotal.Inc()
 	// As in Set: once the tombstones are down, no later miss may join a
-	// fetch that started before them.
+	// fetch that started before them, nor fill the cache from one.
 	defer f.flights.Forget(key)
-	f.cacheRemove(key)
+	defer f.cacheRemove(key)
 	f.rotMu.RLock()
 	defer f.rotMu.RUnlock()
 	epoch, cur, prev := f.part.Snapshot()
@@ -382,7 +390,7 @@ func (f *Frontend) Cas(key string, value []byte, expect uint64) (uint64, error) 
 			f.enqueueHint(repair.Hint{Node: c.node, Key: key, Value: value, Epoch: epoch, Ver: ver})
 		}
 		if f.cache != nil {
-			f.cache.PutIfPresent(id, encodeEntry(key, ver, value))
+			f.cacheWrote(key, encodeEntry(key, ver, value))
 		}
 		return ver, nil
 	}

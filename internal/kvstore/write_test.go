@@ -110,7 +110,7 @@ func TestCasOutcomesUnderDivergence(t *testing.T) {
 			Cache: cache.NewLRU(1 << 20), RepairInterval: -1})
 		f := lc.Frontend
 		seed(lc, "k", 10, 20)
-		f.cachePut("k", 10, []byte("v10"))
+		f.cachePut("k", f.fillGen("k"), 10, []byte("v10"))
 		_, err := f.Cas("k", []byte("new"), 10)
 		if !errors.As(err, &conflict) || conflict.Cur != 20 || !conflict.Partial {
 			t.Fatalf("cas = %v, want CasConflictError{Cur: 20, Partial: true}", err)
@@ -182,4 +182,58 @@ func TestCasOutcomesUnderDivergence(t *testing.T) {
 			t.Errorf("error text %q, want %q", err, want)
 		}
 	})
+}
+
+// TestMissFillNeverLandsOverAckedWrite: a miss that read the old value
+// and fills the cache only after a write to the key acked must not
+// leave the old value cached, neither over a Set nor over a Del.
+func TestMissFillNeverLandsOverAckedWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(f *Frontend, key string) error
+		want  string // "" = the key must read as deleted
+	}{
+		{"set", func(f *Frontend, key string) error { return f.Set(key, []byte("v2")) }, "v2"},
+		{"del", func(f *Frontend, key string) error { return f.Del(key) }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lc := startCluster(t, LocalConfig{Nodes: 2, Replication: 2, PartitionSeed: 3,
+				Cache: cache.NewLRU(1 << 20), RepairInterval: -1})
+			f := lc.Frontend
+			const key = "k"
+			// A Set refreshes only a cached entry, so the key starts
+			// uncached and the Get below misses.
+			if err := f.Set(key, []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			reached, resume := make(chan struct{}), make(chan struct{})
+			hook := func(string) {
+				testHooks.beforeFill.Store(nil)
+				close(reached)
+				<-resume
+			}
+			testHooks.beforeFill.Store(&hook)
+			t.Cleanup(func() { testHooks.beforeFill.Store(nil) })
+			read := make(chan string, 1)
+			go func() {
+				v, err := f.Get(key)
+				read <- fmt.Sprintf("%s %v", v, err)
+			}()
+			<-reached
+			if err := tc.write(f, key); err != nil {
+				t.Fatal(err)
+			}
+			close(resume)
+			if got := <-read; got != "v1 <nil>" {
+				t.Fatalf("the parked read returned %q, want the value it read before the write", got)
+			}
+			v, err := f.Get(key)
+			switch {
+			case tc.want == "" && !errors.Is(err, ErrNotFound):
+				t.Fatalf("Get after an acked Del = %q, %v; the late fill resurrected the value", v, err)
+			case tc.want != "" && string(v) != tc.want:
+				t.Fatalf("Get after an acked Set = %q, %v, want %q; the late fill cached the old value", v, err, tc.want)
+			}
+		})
+	}
 }

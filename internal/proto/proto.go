@@ -536,8 +536,13 @@ func ReleaseRequest(req *Request) {
 	reqPool.Put(req)
 }
 
-// ReleaseResponse recycles resp's struct for a future ReadResponse;
-// same contract as ReleaseRequest.
+// AcquireResponse returns a zeroed Response from the pool: a serving
+// handler builds its answer in one, and the server releases it once the
+// answer is encoded.
+func AcquireResponse() *Response { return respPool.Get().(*Response) }
+
+// ReleaseResponse recycles resp's struct for a future ReadResponse or
+// AcquireResponse; same contract as ReleaseRequest.
 func ReleaseResponse(resp *Response) {
 	*resp = Response{}
 	respPool.Put(resp)
