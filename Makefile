@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzScanPayload$$' -fuzztime=$(FUZZTIME) ./internal/proto/
 	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz='^FuzzReadSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/kvstore/
+	$(GO) test -fuzz='^FuzzServeConn$$' -fuzztime=$(FUZZTIME) ./internal/kvstore/
 	$(GO) test -fuzz='^FuzzReplaySegment$$' -fuzztime=$(FUZZTIME) ./internal/wal/
 
 # Non-test Go line counts for the serving path and the binaries — the

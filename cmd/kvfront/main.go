@@ -65,7 +65,7 @@ func main() {
 		rateLimit   = flag.Float64("rate-limit", 0, "shed client requests beyond this many per second (0 = unlimited)")
 		rateBurst   = flag.Float64("rate-burst", 0, "rate-limit burst size (0 = derived from the rate)")
 		admitWait   = flag.Duration("admission-wait", 0, "how long a request may wait for an in-flight slot before being shed (0 = default, negative = none)")
-		poolSize    = flag.Int("pool-size", 0, "idle lockstep connections pooled per backend; unused, since backend connections are pipelined (one per backend)")
+		_           = flag.Int("pool-size", 0, "ignored: each backend gets one pipelined connection (the flag still parses)")
 		retryBudget = flag.Float64("retry-budget", 0, "shared backend retry-budget tokens (0 = default, negative = no budget)")
 		budgetRatio = flag.Float64("retry-budget-ratio", 0, "retry-budget refill per successful backend exchange (0 = default)")
 		idleTimeout = flag.Duration("idle-timeout", 0, "drop client connections idle longer than this (0 = keep forever)")
@@ -163,7 +163,6 @@ func main() {
 			ReadTimeout:  *readTimeout,
 			WriteTimeout: *writeTimeout,
 			MaxRetries:   *retries,
-			MaxIdleConns: *poolSize,
 		},
 		Health: kvstore.HealthConfig{
 			FailureThreshold: *breakerFails,

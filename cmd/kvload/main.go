@@ -67,7 +67,7 @@ func main() {
 		poolSize  = flag.Int("pool-size", 0, "idle connections pooled per worker client (0 = default, negative = no pooling)")
 		refreshAt = flag.Int("refresh-streak", 8, "consecutive BUSY/error responses before re-reading cluster membership from the frontend (0 = never)")
 		casFrac   = flag.Float64("cas-fraction", 0, "fraction of timed requests issued as a CAS read-modify-write (GetV + Cas) instead of a GET; conflicts are reported apart from successes")
-		pipeDepth = flag.Int("pipeline", 0, "pipelined transport: max in-flight frames per conn (0 = lockstep)")
+		pipeDepth = flag.Int("pipeline", 0, "pipelined transport: max in-flight frames per conn (0 = one request in flight per conn)")
 	)
 	flag.Parse()
 	if *casFrac < 0 || *casFrac > 1 {

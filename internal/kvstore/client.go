@@ -83,10 +83,11 @@ type ClientConfig struct {
 	// PipelineDepth > 0 switches the client to the pipelined transport
 	// (pipeline.go): all callers share one connection carrying up to
 	// PipelineDepth correlated frames in flight, written in writev
-	// batches and matched out of order. 0 or negative keeps the lockstep
-	// conn-per-exchange transport — except in FrontendConfig.Client,
-	// where 0 means DefaultBackendPipelineDepth and only a negative
-	// depth is lockstep. Depths above 1024 are clamped.
+	// batches and matched out of order. 0 or negative makes a serial
+	// client: each request takes a pooled conn of its own, written and
+	// read on the caller's goroutine, one request in flight per conn. In
+	// FrontendConfig.Client any depth ≤ 0 means
+	// DefaultBackendPipelineDepth. Depths above 1024 are clamped.
 	PipelineDepth int
 	// OnWindowWait, when non-nil, is invoked with the time a pipelined
 	// request spent blocked on the full in-flight window before
@@ -152,7 +153,8 @@ type clientConn struct {
 	conn   net.Conn
 	r      *bufio.Reader
 	w      *bufio.Writer
-	reused bool // came from the idle pool (the peer may have dropped it)
+	corr   uint64 // correlation ID of the conn's last request
+	reused bool   // came from the idle pool (the peer may have dropped it)
 }
 
 // DefaultMaxIdleConns is the default per-client idle pool bound
@@ -210,47 +212,62 @@ func (c *Client) putConn(cc *clientConn) {
 	cc.conn.Close()
 }
 
-// tryError carries enough context for Do's retry policy: where in the
-// request lifecycle the failure happened and whether the connection came
-// from the idle pool.
+// tryError is one failed attempt, with the two facts Do's retry policy
+// needs beside the error itself.
 type tryError struct {
-	stage  string // "dial" | "write" | "read"
-	reused bool
-	err    error
+	err error
+	// unsent: the frame provably never reached the peer (a dial failure,
+	// or a pipe that failed before the frame was queued), so any op may
+	// be re-sent.
+	unsent bool
+	// free: the failure earns a retry outside MaxRetries and the retry
+	// budget (see Do).
+	free bool
 }
 
-func (e *tryError) Error() string { return e.err.Error() }
-func (e *tryError) Unwrap() error { return e.err }
-
-// try performs one request/response exchange on one connection.
+// try performs one serial request/response exchange on one connection,
+// on the caller's goroutine. Each request carries the conn's next
+// correlation ID, and a response that does not echo it is a transport
+// error: the conn is closed, never pooled.
 func (c *Client) try(req *proto.Request) (*proto.Response, *tryError) {
 	cc, err := c.getConn()
 	if err != nil {
-		return nil, &tryError{stage: "dial", err: err}
+		return nil, &tryError{err: err, unsent: true}
 	}
 	if d := c.cfg.WriteTimeout; d > 0 {
 		cc.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := proto.WriteRequest(cc.w, req); err == nil {
+	// Stamp the conn's next corr; the caller's request is left as it was.
+	cc.corr++
+	req.Corr = cc.corr
+	err = proto.WriteRequest(cc.w, req)
+	req.Corr = 0
+	if err == nil {
 		err = cc.w.Flush()
 	}
 	if err != nil {
 		cc.conn.Close()
-		return nil, &tryError{stage: "write", reused: cc.reused, err: err}
+		return nil, &tryError{err: err, free: cc.reused}
 	}
 	if d := c.cfg.ReadTimeout; d > 0 {
 		cc.conn.SetReadDeadline(time.Now().Add(d))
 	}
 	resp, err := proto.ReadResponse(cc.r)
+	if err == nil && resp.Corr != cc.corr {
+		proto.ReleaseResponse(resp)
+		err = fmt.Errorf("response corr %d, want %d: %w", resp.Corr, cc.corr, proto.ErrMalformed)
+	}
 	if err != nil {
 		// Transport errors close the connection (the protocol cannot
 		// resync mid-stream).
 		cc.conn.Close()
-		return nil, &tryError{stage: "read", reused: cc.reused,
-			err: fmt.Errorf("kvstore: %s %s: %w", req.Op, c.addr, err)}
+		return nil, &tryError{err: fmt.Errorf("kvstore: %s %s: %w", req.Op, c.addr, err), free: cc.reused}
 	}
 	cc.conn.SetDeadline(time.Time{})
 	c.putConn(cc)
+	if resp.LoadHinted && c.cfg.OnLoadHint != nil {
+		c.cfg.OnLoadHint(resp.Load)
+	}
 	return resp, nil
 }
 
@@ -286,51 +303,54 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Do sends one request and reads its response, retrying transient
-// transport failures:
+// Do sends one request and reads its response over the client's
+// transport, retrying transient transport failures:
 //
-//   - A failure on a reused pooled connection is retried transparently on
-//     a fresh connection, regardless of op: the peer dropping an idle
-//     conn (restart, idle-timeout) is indistinguishable from it never
-//     having seen the request. These retries are bounded by the pool
-//     size, not MaxRetries.
-//   - Dial failures (request provably unsent) and post-dial failures of
-//     idempotent ops are retried up to MaxRetries times with jittered
-//     exponential backoff.
+//   - A failure that earns a free retry is retried at once, outside
+//     MaxRetries and the retry budget: the peer dropping a conn that
+//     predates the call (restart, idle timeout) is indistinguishable
+//     from it never having seen the request. On a serial client that is
+//     any failure on a reused pooled conn; each burns one pooled conn,
+//     so they end after at most MaxIdleConns rounds. On a pipelined
+//     client it is at most one per call, on a pipe that predates it,
+//     and only when the frame was unsent or the op is idempotent: a pipe
+//     dies with a window of frames the server may well have applied.
+//   - Unsent requests (any op) and failed idempotent ops are retried up
+//     to MaxRetries times with jittered exponential backoff, while the
+//     retry budget allows.
 //   - Deadline expiries are never retried: a saturated server stays
 //     saturated, and the caller (the frontend) should fail over to
 //     another replica instead of burning its latency budget here.
+//
+// Load hints are delivered before Do returns.
 func (c *Client) Do(req *proto.Request) (*proto.Response, error) {
-	if c.cfg.PipelineDepth > 0 {
-		return c.pipeDo(req)
-	}
 	budget := c.cfg.MaxRetries
+	freeTaken := false
 	for attempt := 0; ; attempt++ {
-		resp, terr := c.try(req)
+		var resp *proto.Response
+		var terr *tryError
+		if c.cfg.PipelineDepth > 0 {
+			resp, terr = c.pipeTry(req, freeTaken)
+		} else {
+			resp, terr = c.try(req)
+		}
 		if terr == nil {
 			// A completed exchange (other than a shed) earns the retry
 			// budget back a fraction of a token.
 			if resp.Status != proto.StatusBusy {
 				c.cfg.RetryBudget.OnSuccess()
 			}
-			if resp.LoadHinted && c.cfg.OnLoadHint != nil {
-				c.cfg.OnLoadHint(resp.Load)
-			}
 			return resp, nil
 		}
 		if errors.Is(terr.err, net.ErrClosed) || isTimeout(terr.err) {
 			return nil, terr.err
 		}
-		if terr.reused {
-			// Free retry: a request that dies on a pooled conn almost
-			// surely raced the peer closing it. Each such retry burns
-			// one pooled conn, so this terminates after ≤ MaxIdleConns
-			// rounds even with a poisoned pool.
+		if terr.free {
+			freeTaken = true
 			c.noteRetry()
 			continue
 		}
-		retryable := terr.stage == "dial" || isIdempotentReq(req)
-		if !retryable || budget <= 0 {
+		if !(terr.unsent || isIdempotentReq(req)) || budget <= 0 {
 			return nil, terr.err
 		}
 		if !c.cfg.RetryBudget.Spend() {

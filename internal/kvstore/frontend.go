@@ -90,9 +90,8 @@ type FrontendConfig struct {
 	// Client configures per-request deadlines and retry policy for the
 	// backend connections (zero value = defaults). The frontend chains
 	// its retries_total counter onto Client.OnRetry. Unlike a plain
-	// Client, a zero PipelineDepth here means DefaultBackendPipelineDepth:
-	// each backend gets one pipelined conn. A negative depth selects the
-	// lockstep conn-per-exchange transport, pooled by MaxIdleConns.
+	// Client, a PipelineDepth ≤ 0 here means DefaultBackendPipelineDepth:
+	// each backend gets one pipelined conn, and MaxIdleConns is unused.
 	Client ClientConfig
 	// Health configures the per-backend circuit breaker (zero value =
 	// defaults; FailureThreshold < 0 disables gating).
@@ -162,8 +161,8 @@ type FrontendConfig struct {
 }
 
 // DefaultBackendPipelineDepth is the in-flight window of the pipelined
-// conn a frontend keeps to each backend when FrontendConfig.Client
-// leaves PipelineDepth zero. Every miss, quorum write, hint replay,
+// conn a frontend keeps to each backend when FrontendConfig.Client sets
+// no positive PipelineDepth. Every miss, quorum write, hint replay,
 // repair scan and probe to that backend shares the conn. A frontend puts
 // at most one frame per client request on a given backend's conn, so
 // the window only fills once a frontend has more requests in flight
@@ -203,6 +202,10 @@ type Frontend struct {
 	cache   syncCache
 	flights flightGroup
 	fills   [fillStripes]fillStripe
+	// casMu serializes same-key Cas calls, striped by key ID: racers that
+	// reached the replicas together would split the quorum, and a round
+	// could end with no winner.
+	casMu [fillStripes]sync.Mutex
 
 	// Hot-path counters, resolved once at construction. Registry lookups
 	// take a mutex and hash the name; at cache-hit rates that lookup was
@@ -363,7 +366,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		f.srv.load = &f.tier.inflight
 	}
 	ccfg := cfg.Client
-	if ccfg.PipelineDepth == 0 {
+	if ccfg.PipelineDepth <= 0 {
 		ccfg.PipelineDepth = DefaultBackendPipelineDepth
 	}
 	retries := f.metrics.Counter("retries_total")

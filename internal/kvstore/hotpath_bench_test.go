@@ -120,7 +120,7 @@ func BenchmarkFrontendGetWire(b *testing.B) {
 // BenchmarkFrontendGetWirePipelined is the wire workload again with
 // every parallel worker multiplexed onto ONE shared pipelined client —
 // the deployment shape the pipelined transport is built for. Compare
-// against BenchmarkFrontendGetWire/sharded for the lockstep baseline.
+// against BenchmarkFrontendGetWire/sharded for the serial baseline.
 func BenchmarkFrontendGetWirePipelined(b *testing.B) {
 	const hotKeys = 256
 	for _, depth := range []int{8, 64} {

@@ -1,6 +1,6 @@
 package kvstore
 
-// Pipelined client transport. The lockstep path in client.go pays one
+// Pipelined client transport. The serial path in client.go pays one
 // full write-syscall + read-syscall round trip per request and holds a
 // pooled connection exclusively for its duration; at loopback latencies
 // the hot path is pure syscall and scheduler overhead. The pipelined
@@ -13,17 +13,16 @@ package kvstore
 //
 // Failure model: any transport error tears the whole conn down and
 // fails every in-flight call with the same error ("fail-all-pending").
-// Callers' errors then feed the existing Do retry policy — the pipe is
-// redialed lazily by the next call, so a conn death costs one round of
-// free retries, exactly like a dropped pooled conn on the lockstep
-// path. Response timeouts do NOT tear the conn down: the slot stays
-// occupied (the server still owes that frame) and the late response is
-// discarded on arrival; only a read deadline expiring with frames
-// outstanding — a truly hung server — kills the conn.
+// Callers' errors then feed Do's retry policy — the pipe is redialed
+// lazily by the next call, so a conn death costs one round of free
+// retries, like a dropped pooled conn on a serial client. Response
+// timeouts do NOT tear the conn down: the slot stays occupied (the
+// server still owes that frame) and the late response is discarded on
+// arrival; only a read deadline expiring with frames outstanding — a
+// truly hung server — kills the conn.
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -160,7 +159,7 @@ func newPipeConn(conn net.Conn, addr string, cfg ClientConfig) *pipeConn {
 // free the window slot when it arrives), and wakes the waiter with the
 // timeout sentinel. Scanning at ReadTimeout/4 granularity means a
 // timeout fires within [d, d+d/4] — ReadTimeout is a floor, not an
-// exact bound, which the lockstep path's deadline handling already
+// exact bound, which the serial path's deadline handling already
 // implies. It also owns re-arming the conn's read deadline while
 // calls are in flight (see readLoop).
 func (pc *pipeConn) watchdog() {
@@ -309,11 +308,6 @@ func (pc *pipeConn) readLoop() {
 			finalErr = fmt.Errorf("kvstore: %s: pipelined conn: %w", pc.addr, err)
 			break
 		}
-		if resp.Corr == 0 {
-			finalErr = fmt.Errorf("kvstore: %s: uncorrelated response on pipelined conn: %w",
-				pc.addr, proto.ErrMalformed)
-			break
-		}
 		if resp.LoadHinted && pc.cfg.OnLoadHint != nil {
 			pc.cfg.OnLoadHint(resp.Load)
 		}
@@ -376,9 +370,8 @@ func (pc *pipeConn) teardown(err error) {
 }
 
 // roundTrip sends one request through the pipe and waits for its
-// response. The returned tryError feeds Do's retry policy; stage
-// "write" marks failures where the request provably never reached the
-// wire queue.
+// response. A failure before the frame reached the write queue is
+// reported unsent.
 func (pc *pipeConn) roundTrip(req *proto.Request) (*proto.Response, *tryError) {
 	// Acquire an in-flight slot. The fast path is a non-blocking send;
 	// a full window waits (bounded by WriteTimeout) and reports the
@@ -403,9 +396,9 @@ func (pc *pipeConn) roundTrip(req *proto.Request) (*proto.Response, *tryError) {
 				pc.cfg.OnWindowWait(time.Since(waitStart))
 			}
 		case <-pc.done:
-			return nil, &tryError{stage: "write", err: pc.failErr()}
+			return nil, &tryError{unsent: true, err: pc.failErr()}
 		case <-timeC:
-			return nil, &tryError{stage: "write", err: fmt.Errorf(
+			return nil, &tryError{unsent: true, err: fmt.Errorf(
 				"kvstore: %s %s: in-flight window full: %w", req.Op, pc.addr, os.ErrDeadlineExceeded)}
 		}
 	}
@@ -418,7 +411,7 @@ func (pc *pipeConn) roundTrip(req *proto.Request) (*proto.Response, *tryError) {
 		err := pc.err
 		pc.mu.Unlock()
 		<-pc.window
-		return nil, &tryError{stage: "write", err: err}
+		return nil, &tryError{unsent: true, err: err}
 	}
 	pc.nextCorr++
 	corr := pc.nextCorr
@@ -442,7 +435,7 @@ func (pc *pipeConn) roundTrip(req *proto.Request) (*proto.Response, *tryError) {
 	req.Corr = 0
 	if err != nil {
 		pc.backOut(corr, call)
-		return nil, &tryError{stage: "write", err: err}
+		return nil, &tryError{unsent: true, err: err}
 	}
 
 	// Fast path: a buffered send with no competing done case compiles
@@ -457,7 +450,7 @@ func (pc *pipeConn) roundTrip(req *proto.Request) (*proto.Response, *tryError) {
 		case <-pc.done:
 			frame.Release()
 			pc.backOut(corr, call)
-			return nil, &tryError{stage: "write", err: pc.failErr()}
+			return nil, &tryError{unsent: true, err: pc.failErr()}
 		}
 	}
 
@@ -470,14 +463,14 @@ func (pc *pipeConn) roundTrip(req *proto.Request) (*proto.Response, *tryError) {
 		// Teardown swept the call from pending before sending, so
 		// nothing will ever send on this channel again: poolable.
 		pipeCalls.Put(call)
-		return nil, &tryError{stage: "read", err: pc.failErr()}
+		return nil, &tryError{err: pc.failErr()}
 	case pipeRespTimeout:
 		// The watchdog abandoned the call but did NOT release the
 		// window slot: the server still owes the frame, so the window
 		// stays charged until it answers (or the conn dies). The call
 		// also stays in pending — the reader holds a route to it — so
 		// it must not be pooled.
-		return nil, &tryError{stage: "read", err: fmt.Errorf(
+		return nil, &tryError{err: fmt.Errorf(
 			"kvstore: %s %s: %w", req.Op, pc.addr, os.ErrDeadlineExceeded)}
 	default:
 		pipeCalls.Put(call) // delivered: out of pending, ch drained
@@ -538,66 +531,18 @@ func (c *Client) getPipe() (pc *pipeConn, fresh bool, err error) {
 	return c.pipe, true, nil
 }
 
-// pipeDo is Do over the pipelined transport: same retry policy, with
-// "the shared pipe died under me" taking the role of "my pooled conn
-// was stale".
-func (c *Client) pipeDo(req *proto.Request) (*proto.Response, error) {
-	budget := c.cfg.MaxRetries
-	free := 1
-	for attempt := 0; ; attempt++ {
-		pc, fresh, err := c.getPipe()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil, err
-			}
-			if budget <= 0 {
-				return nil, err
-			}
-			if !c.cfg.RetryBudget.Spend() {
-				if c.cfg.OnRetrySuppressed != nil {
-					c.cfg.OnRetrySuppressed()
-				}
-				return nil, err
-			}
-			budget--
-			c.noteRetry()
-			c.backoff(attempt)
-			continue
-		}
-		resp, terr := pc.roundTrip(req)
-		if terr == nil {
-			if resp.Status != proto.StatusBusy {
-				c.cfg.RetryBudget.OnSuccess()
-			}
-			// Load hints were already delivered by the reader.
-			return resp, nil
-		}
-		if errors.Is(terr.err, net.ErrClosed) || isTimeout(terr.err) {
-			return nil, terr.err
-		}
-		if !fresh && free > 0 && (terr.stage == "write" || isIdempotentReq(req)) {
-			// The pipe predates this call and died: one free retry on a
-			// redial, like a stale pooled conn — but unlike a pooled conn
-			// (idle until our one request, so the peer almost surely never
-			// saw it), a pipe dies with a window of frames the server may
-			// well have applied. Non-idempotent ops therefore get the free
-			// retry only when stage "write" proves the frame never reached
-			// the wire queue.
-			free--
-			c.noteRetry()
-			continue
-		}
-		if !(terr.stage == "write" || isIdempotentReq(req)) || budget <= 0 {
-			return nil, terr.err
-		}
-		if !c.cfg.RetryBudget.Spend() {
-			if c.cfg.OnRetrySuppressed != nil {
-				c.cfg.OnRetrySuppressed()
-			}
-			return nil, terr.err
-		}
-		budget--
-		c.noteRetry()
-		c.backoff(attempt)
+// pipeTry is one attempt over the shared pipe, dialing it if needed.
+// A pipe that predates the call and dies under it earns a free retry,
+// like a stale pooled conn, unless this Do already took one (freeTaken)
+// or a frame the server may have applied is not safe to re-send.
+func (c *Client) pipeTry(req *proto.Request, freeTaken bool) (*proto.Response, *tryError) {
+	pc, fresh, err := c.getPipe()
+	if err != nil {
+		return nil, &tryError{err: err, unsent: true}
 	}
+	resp, terr := pc.roundTrip(req)
+	if terr != nil {
+		terr.free = !fresh && !freeTaken && (terr.unsent || isIdempotentReq(req))
+	}
+	return resp, terr
 }

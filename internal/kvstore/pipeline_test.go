@@ -273,9 +273,9 @@ func TestPipelineTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestPipelineLegacyInterop: a corr-0 (lockstep) client and a pipelined
-// client against the same server must both work — the upgrade is
-// per-connection, triggered only by the first correlated frame.
+// TestPipelineLegacyInterop: a serial client and a pipelined client
+// against the same server must both work — each conn keeps its own
+// correlation sequence.
 func TestPipelineLegacyInterop(t *testing.T) {
 	checkGoroutineLeaks(t)
 	b, addr, err := StartBackend(1, "127.0.0.1:0")
@@ -294,10 +294,10 @@ func TestPipelineLegacyInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v, err := piped.Get("a"); err != nil || string(v) != "1" {
-		t.Fatalf("pipelined read of lockstep write: %q, %v", v, err)
+		t.Fatalf("pipelined read of serial write: %q, %v", v, err)
 	}
 	if v, err := legacy.Get("b"); err != nil || string(v) != "2" {
-		t.Fatalf("lockstep read of pipelined write: %q, %v", v, err)
+		t.Fatalf("serial read of pipelined write: %q, %v", v, err)
 	}
 }
 
@@ -315,8 +315,7 @@ func waitUntil(d time.Duration, cond func() bool) error {
 
 // TestFrontendPipelinesBackendHop: with the default client config the
 // frontend keeps one pipelined conn per backend, and 64 concurrent
-// misses all ride it as correlated frames instead of each taking a
-// lockstep conn of its own.
+// misses all ride it instead of each taking a conn of its own.
 func TestFrontendPipelinesBackendHop(t *testing.T) {
 	checkGoroutineLeaks(t)
 	lc := startCluster(t, LocalConfig{Nodes: 4, Replication: 2, PartitionSeed: 11, RepairInterval: -1})
@@ -356,9 +355,6 @@ func TestFrontendPipelinesBackendHop(t *testing.T) {
 		if conns != 1 {
 			t.Errorf("backend %d holds %d frontend conns, want 1", i, conns)
 		}
-		if got := b.Metrics().Counter("pipelined_conns_total").Value(); got != 1 {
-			t.Errorf("backend %d: pipelined_conns_total = %d, want 1", i, got)
-		}
 		if got := b.Metrics().Counter("gets_total").Value(); got == 0 {
 			t.Errorf("backend %d served no GET", i)
 		}
@@ -368,12 +364,12 @@ func TestFrontendPipelinesBackendHop(t *testing.T) {
 // TestFrontendPipeDeathFailsOver kills a backend's conn while a window
 // of GETs waits on it. Every GET must still succeed from the other
 // replica, the pipe must redial once the backend is reachable again, and
-// the frontend's retry and breaker accounting must be the same as on
-// the lockstep transport under the same fault.
+// the frontend's retry and breaker accounting must count one free retry
+// per GET that died on the pipe.
 func TestFrontendPipeDeathFailsOver(t *testing.T) {
 	type counts struct{ retries, errors, opens uint64 }
 	const window = 16 // GETs in flight; every other one ranks node 0 first
-	run := func(t *testing.T, depth int) counts {
+	run := func(t *testing.T) counts {
 		checkGoroutineLeaks(t)
 		b0, addr0, err := StartBackend(0, "127.0.0.1:0")
 		if err != nil {
@@ -395,7 +391,7 @@ func TestFrontendPipeDeathFailsOver(t *testing.T) {
 			Replication:    2,
 			PartitionSeed:  5,
 			Selection:      SelectRoundRobin, // alternates the first choice per GET
-			Client:         ClientConfig{PipelineDepth: depth, MaxRetries: -1},
+			Client:         ClientConfig{MaxRetries: -1},
 			RetryBudgetMax: -1,
 			Health:         HealthConfig{FailureThreshold: 3, ProbeInterval: time.Hour},
 			RepairInterval: -1,
@@ -409,25 +405,10 @@ func TestFrontendPipeDeathFailsOver(t *testing.T) {
 			t.Fatal(err)
 		}
 		c0 := f.fleet.Load().clients[0]
-		if depth < 0 {
-			// Lockstep: leave exactly one pooled conn per GET that will
-			// rank node 0 first, so each of them dies on a reused conn.
-			var held []*clientConn
-			for i := 0; i < window/2; i++ {
-				cc, err := c0.getConn()
-				if err != nil {
-					t.Fatal(err)
-				}
-				held = append(held, cc)
-			}
-			for _, cc := range held {
-				c0.putConn(cc)
-			}
-		}
 		c0.mu.Lock()
 		oldPipe := c0.pipe
 		c0.mu.Unlock()
-		if depth >= 0 && oldPipe == nil {
+		if oldPipe == nil {
 			t.Fatal("frontend has no pipelined conn to node 0")
 		}
 
@@ -474,24 +455,21 @@ func TestFrontendPipeDeathFailsOver(t *testing.T) {
 		if err := c0.Ping(); err != nil {
 			t.Fatalf("node 0 unreachable after the fault cleared: %v", err)
 		}
-		if depth >= 0 {
-			c0.mu.Lock()
-			pipe := c0.pipe
-			c0.mu.Unlock()
-			if pipe == nil || pipe == oldPipe {
-				t.Error("the pipe to node 0 was not redialed")
-			}
+		c0.mu.Lock()
+		pipe := c0.pipe
+		c0.mu.Unlock()
+		if pipe == nil || pipe == oldPipe {
+			t.Error("the pipe to node 0 was not redialed")
 		}
 		return got
 	}
-	var pipelined, lockstep counts
-	t.Run("pipelined", func(t *testing.T) { pipelined = run(t, 0) })
-	t.Run("lockstep", func(t *testing.T) { lockstep = run(t, -1) })
+	var pipelined counts
+	t.Run("pipelined", func(t *testing.T) { pipelined = run(t) })
 	// One free retry per GET that died on node 0, each of which then
 	// counts one backend error; three consecutive failures open node 0's
 	// breaker once.
 	want := counts{retries: window / 2, errors: window / 2, opens: 1}
-	if pipelined != want || lockstep != want {
-		t.Errorf("pipelined %+v, lockstep %+v, want both %+v", pipelined, lockstep, want)
+	if pipelined != want {
+		t.Errorf("pipelined %+v, want %+v", pipelined, want)
 	}
 }

@@ -1,22 +1,23 @@
 package kvstore
 
 // The pipeline half of connServer: what a connection's read loop
-// (serveConn) feeds once its peer has sent a correlated frame.
+// (serveConn) feeds. Every conn has one from accept, whether its peer
+// keeps one request in flight or a window of them.
 //
 //	read loop ─┬─▶ fast op: answered in place ────────┬─▶ flushCh ──▶ flusher
 //	           └─▶ other op ──▶ reqCh ──▶ handler pool ─┘
 //	                                    (≤ pipeQueue)
 //
-// A hit never leaves the read loop, so it costs no goroutine hand-off.
-// Everything else goes to the conn's handler pool, which grows on demand
-// up to the conn's queue bound, not the core count: a frontend's
-// handlers mostly wait on a backend round trip, and every miss a conn
-// holds in flight is one more GetV the backend hop can batch. The
-// flusher writes completions in whatever order they finish, coalescing
-// queued frames into one writev. A peer that stops draining responses
-// blocks the flusher, then the handlers on flushCh, then the read loop
-// on reqCh: backpressure reaches the socket instead of buffering
-// unboundedly.
+// A hit never leaves the read loop, so it costs one goroutine hand-off,
+// to the flusher. Everything else goes to the conn's handler pool, which
+// grows on demand up to the conn's queue bound, not the core count: a
+// frontend's handlers mostly wait on a backend round trip, and every
+// miss a conn holds in flight is one more GetV the backend hop can
+// batch. The flusher writes completions in whatever order they finish,
+// coalescing queued frames into one writev. A peer that stops draining
+// responses blocks the flusher, then the handlers on flushCh, then the
+// read loop on reqCh: backpressure reaches the socket instead of
+// buffering unboundedly.
 
 import (
 	"net"
@@ -26,12 +27,12 @@ import (
 	"securecache/internal/proto"
 )
 
-// pipeQueue bounds an upgraded conn's handlers and the frames waiting
+// pipeQueue bounds a conn's handlers and the frames waiting
 // for its flusher: a full 64-deep client window drains as one read
 // syscall in, one writev out.
 const pipeQueue = 64
 
-// connPipe is one upgraded connection's handler pool and flusher.
+// connPipe is one connection's handler pool and flusher.
 type connPipe struct {
 	reqCh   chan *proto.Request // unbuffered: taken only by an idle handler
 	flushCh chan proto.Frame
@@ -40,7 +41,7 @@ type connPipe struct {
 	flusher sync.WaitGroup
 }
 
-// startPipe starts the pipeline of an upgraded connection.
+// startPipe starts a connection's flusher; handlers start on demand.
 func (s *connServer) startPipe(conn net.Conn) *connPipe {
 	p := &connPipe{
 		reqCh:   make(chan *proto.Request),
@@ -60,11 +61,7 @@ func (s *connServer) startPipe(conn net.Conn) *connPipe {
 // once it is not.
 func (p *connPipe) dispatch(s *connServer, req *proto.Request, scratch *[]byte) {
 	if s.fastOps.has(req.Op) {
-		resp, slot := s.admit(req, scratch, s.fast)
-		if slot {
-			s.gate.Release()
-		}
-		if resp != nil {
+		if resp := s.admit(req, scratch, s.fast); resp != nil {
 			p.flushCh <- s.encode(req, resp)
 			return
 		}
@@ -85,19 +82,13 @@ func (p *connPipe) dispatch(s *connServer, req *proto.Request, scratch *[]byte) 
 // handle serves req and then whatever the read loop hands it, until the
 // conn is drained. A handler lives as long as its conn, so the stack it
 // grew on its first request serves the rest. The gate slot is released
-// when the handler returns rather than after the flush: the bounded
-// flush channel is what bounds a slow-draining peer, so holding the slot
-// across the flush would only couple admission to an unrelated conn's
-// write stall.
+// before the flush (see admit): holding it across the flush would only
+// couple admission to an unrelated conn's write stall.
 func (p *connPipe) handle(s *connServer, req *proto.Request) {
 	defer p.running.Done()
 	scratch := make([]byte, 0, 512)
 	for ok := true; ok; req, ok = <-p.reqCh {
-		resp, slot := s.admit(req, &scratch, s.handle)
-		if slot {
-			s.gate.Release()
-		}
-		p.flushCh <- s.encode(req, resp)
+		p.flushCh <- s.encode(req, s.admit(req, &scratch, s.handle))
 	}
 }
 

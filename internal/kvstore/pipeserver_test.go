@@ -136,7 +136,7 @@ func TestFrontendPipelinedConnOverlapsMisses(t *testing.T) {
 	timer := time.AfterFunc(time.Second, s.release)
 	defer timer.Stop()
 	_, addr := servedStubFrontend(t, s)
-	p := dialPeer(t, addr, true)
+	p := dialPeer(t, addr)
 	for i := 0; i < n; i++ {
 		if err := p.send(proto.Request{Op: proto.OpGet, Key: fmt.Sprintf("miss-%d", i)}); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"securecache/internal/cache"
+	"securecache/internal/proto"
 )
 
 // startHungListener returns the address of a server that accepts TCP
@@ -115,6 +117,51 @@ func TestClientDeadlineOnHungServer(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Fatalf("hung Get took %v; deadline of 100ms not enforced (or was retried)", elapsed)
+	}
+}
+
+// TestSerialClientRejectsWrongCorr: a serial client's response must
+// echo the correlation ID of the request just sent. One that does not
+// is a transport error: the call fails and the conn is closed, never
+// pooled for the next caller.
+func TestSerialClientRejectsWrongCorr(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	closed := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			closed <- err
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		req, err := proto.ReadRequest(r)
+		if err != nil {
+			closed <- err
+			return
+		}
+		proto.WriteResponse(conn, &proto.Response{Status: proto.StatusOK, Corr: req.Corr + 1})
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		_, err = r.ReadByte()
+		closed <- err
+	}()
+	c := NewClientWithConfig(l.Addr().String(), ClientConfig{MaxRetries: -1})
+	defer c.Close()
+	if err := c.Ping(); !errors.Is(err, proto.ErrMalformed) {
+		t.Fatalf("ping answered under the wrong corr = %v, want ErrMalformed", err)
+	}
+	c.mu.Lock()
+	idle := len(c.idle)
+	c.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("%d conns pooled after a mismatched response, want 0", idle)
+	}
+	if err := <-closed; err != io.EOF {
+		t.Fatalf("server read after the mismatched response = %v, want EOF (client closed the conn)", err)
 	}
 }
 

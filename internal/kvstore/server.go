@@ -41,10 +41,10 @@ type handlerFunc func(req *proto.Request, scratch *[]byte) *proto.Response
 //
 // Scratch: handle and fast receive a reusable payload buffer and may
 // return a response that aliases it. There is one buffer per goroutine
-// that dispatches — the connection's read loop (lockstep requests and
-// pipelined fast answers) and each pipeline handler — and that goroutine
-// encodes the response into a frame of its own before it dispatches
-// again, which is the only thing that makes the aliasing safe.
+// that dispatches — the connection's read loop (fast answers) and each
+// of its handlers — and that goroutine encodes the response into a frame
+// of its own before it dispatches again, which is the only thing that
+// makes the aliasing safe.
 type connServer struct {
 	role string // log prefix: "backend N" / "frontend"
 
@@ -66,7 +66,6 @@ type connServer struct {
 	gate        *overload.Gate   // nil = unlimited
 	shedTotal   *metrics.Counter // requests answered StatusBusy
 	connsShed   *metrics.Counter // connections rejected at accept
-	pipelined   *metrics.Counter // connections upgraded to the pipeline
 	idleTimeout atomic.Int64     // ns; 0 = no limit
 
 	mu       sync.Mutex
@@ -82,7 +81,6 @@ func newConnServer(role string, reg *metrics.Registry, lim overload.Limits) *con
 		gate:      overload.NewGate(lim),
 		shedTotal: reg.Counter("shed_total"),
 		connsShed: reg.Counter("busy_conns_rejected_total"),
-		pipelined: reg.Counter("pipelined_conns_total"),
 		conns:     make(map[net.Conn]bool),
 	}
 }
@@ -142,19 +140,16 @@ func (s *connServer) serve(l net.Listener) error {
 	}
 }
 
-// serveConn is the read loop of one connection. A connection starts in
-// lockstep: each uncorrelated request is dispatched inline and answered
-// before the next is read. The first frame carrying a correlation ID
-// upgrades the connection to the pipeline (pipeserver.go) for the rest
-// of its life: fast ops are still answered here, everything else runs
-// concurrently, up to pipeQueue at once. Legacy clients never send a
-// correlation ID, so the upgrade is invisible to them.
+// serveConn is the read loop of one connection. Every frame must carry
+// a correlation ID, and every request goes through the conn's pipeline
+// (pipeserver.go), which a serial peer and a pipelining one share: fast
+// ops are answered here, everything else runs on the conn's handlers, up
+// to pipeQueue at once. An uncorrelated frame is malformed, so it drops
+// the conn like any other undecodable frame.
 func (s *connServer) serveConn(conn net.Conn) {
-	var pipe *connPipe // nil while the peer is lockstep
+	pipe := s.startPipe(conn)
 	defer func() {
-		if pipe != nil {
-			pipe.drain()
-		}
+		pipe.drain()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -171,6 +166,10 @@ func (s *connServer) serveConn(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(d))
 		}
 		req, err := proto.ReadRequest(r)
+		if err == nil && req.Corr == 0 {
+			proto.ReleaseRequest(req)
+			err = fmt.Errorf("%w: uncorrelated frame", proto.ErrMalformed)
+		}
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				// Malformed input or mid-frame disconnect: drop the
@@ -179,47 +178,23 @@ func (s *connServer) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		switch {
-		case req.Corr != 0:
-			if pipe == nil {
-				pipe = s.startPipe(conn)
-				s.pipelined.Inc()
-			}
-			pipe.dispatch(s, req, &scratch)
-		case pipe != nil:
-			// A pipelined peer never reverts to lockstep mid-stream; an
-			// uncorrelated frame here means the stream is corrupt.
-			log.Printf("kvstore: %s: uncorrelated frame on pipelined conn", s.role)
-			return
-		default:
-			// Lockstep holds the in-flight slot until the response is
-			// written, so a peer draining responses slowly occupies
-			// capacity honestly instead of letting the node over-admit.
-			resp, slot := s.admit(req, &scratch, s.handle)
-			frame := s.encode(req, resp)
-			_, err = conn.Write(frame.Bytes())
-			frame.Release()
-			if slot {
-				s.gate.Release()
-			}
-			if err != nil {
-				return
-			}
-		}
+		pipe.dispatch(s, req, &scratch)
 	}
 }
 
 // admit runs one request through admission control and fn (handle or
 // fast): a saturated node answers StatusBusy, counted in shed_total,
-// without calling fn. slot reports an in-flight slot the caller must
-// release. The load hint is read after the in-flight decrement so a
-// client's own completed request is not still counted.
-func (s *connServer) admit(req *proto.Request, scratch *[]byte, fn handlerFunc) (resp *proto.Response, slot bool) {
+// without calling fn. An admitted request holds its in-flight slot only
+// while fn runs: the bounded flush channel, not the slot, is what holds
+// back a peer that drains its responses slowly. The load hint is read
+// after the in-flight decrement so a client's own completed request is
+// not still counted.
+func (s *connServer) admit(req *proto.Request, scratch *[]byte, fn handlerFunc) *proto.Response {
+	var resp *proto.Response
 	switch {
 	case s.exempt.has(req.Op):
 		resp = fn(req, scratch)
 	case s.gate.Admit():
-		slot = true
 		if s.load != nil {
 			s.load.Add(1)
 		}
@@ -227,6 +202,7 @@ func (s *connServer) admit(req *proto.Request, scratch *[]byte, fn handlerFunc) 
 		if s.load != nil {
 			s.load.Add(-1)
 		}
+		s.gate.Release()
 	default:
 		s.shedTotal.Inc()
 		resp = reply(proto.StatusBusy, nil)
@@ -237,7 +213,7 @@ func (s *connServer) admit(req *proto.Request, scratch *[]byte, fn handlerFunc) 
 		}
 		resp.LoadHinted = true
 	}
-	return resp, slot
+	return resp
 }
 
 // reply builds a handler's response in a pooled struct (see connServer).
@@ -251,7 +227,7 @@ func reply(status proto.Status, payload []byte) *proto.Response {
 // structs: the frame owns an encoded copy, and the stored key/value
 // slices they referenced live on unaffected. An unencodable response
 // (an oversized payload) is replaced by a sanitized error, so the
-// request is still answered and a pipelined client's window slot frees.
+// request is still answered and the client's window slot frees.
 func (s *connServer) encode(req *proto.Request, resp *proto.Response) proto.Frame {
 	resp.Corr = req.Corr
 	frame, err := proto.NewResponseFrame(resp)

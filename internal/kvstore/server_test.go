@@ -16,7 +16,9 @@ import (
 
 // The connServer cases below run against both handlers and both kinds
 // of peer: the loop is shared, so every rule it enforces must hold for
-// {Backend, Frontend} × {lockstep, pipelined}.
+// {Backend, Frontend} × {lockstep, pipelined}. Both peers speak
+// correlated frames; a lockstep peer keeps one request in flight (a
+// Client with PipelineDepth 0), a pipelined one a window of them.
 
 // testNode is one serving role behind a connServer.
 type testNode struct {
@@ -58,30 +60,27 @@ func eachRoleAndMode(t *testing.T, fn func(t *testing.T, frontend, pipelined boo
 	}
 }
 
-// wirePeer is a raw protocol peer. A pipelined peer stamps every request
-// with the next correlation ID; a lockstep peer sends none.
+// wirePeer is a raw protocol peer: it stamps every request with the
+// next correlation ID.
 type wirePeer struct {
-	conn      net.Conn
-	r         *bufio.Reader
-	pipelined bool
-	corr      uint64
+	conn net.Conn
+	r    *bufio.Reader
+	corr uint64
 }
 
-func dialPeer(t *testing.T, addr string, pipelined bool) *wirePeer {
+func dialPeer(t *testing.T, addr string) *wirePeer {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &wirePeer{conn: conn, r: bufio.NewReader(conn), pipelined: pipelined}
+	return &wirePeer{conn: conn, r: bufio.NewReader(conn)}
 }
 
 func (p *wirePeer) send(req proto.Request) error {
-	if p.pipelined {
-		p.corr++
-		req.Corr = p.corr
-	}
+	p.corr++
+	req.Corr = p.corr
 	return proto.WriteRequest(p.conn, &req)
 }
 
@@ -92,10 +91,21 @@ func (p *wirePeer) do(req proto.Request) (*proto.Response, error) {
 	}
 	p.conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	resp, err := proto.ReadResponse(p.r)
-	if err == nil && p.pipelined && resp.Corr != p.corr {
+	if err == nil && resp.Corr != p.corr {
 		return nil, errors.New("response carries the wrong correlation ID")
 	}
 	return resp, err
+}
+
+// uncorrelatedPing sends a corr-0 Ping, which a server must treat as
+// malformed: it returns the read that follows, io.EOF once the server
+// has dropped the conn without answering.
+func (p *wirePeer) uncorrelatedPing() (*proto.Response, error) {
+	if err := proto.WriteRequest(p.conn, &proto.Request{Op: proto.OpPing}); err != nil {
+		return nil, err
+	}
+	p.conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	return proto.ReadResponse(p.r)
 }
 
 // clientFor returns a Client speaking the given mode to addr.
@@ -115,9 +125,11 @@ func TestServerConnCapRejectsAtAccept(t *testing.T) {
 	checkGoroutineLeaks(t)
 	eachRoleAndMode(t, func(t *testing.T, frontend, pipelined bool) {
 		n := startTestNode(t, frontend, overload.Limits{MaxConns: 1}, 0)
-		held := dialPeer(t, n.addr, pipelined)
-		if resp, err := held.do(proto.Request{Op: proto.OpPing}); err != nil || resp.Status != proto.StatusOK {
-			t.Fatalf("ping on the first conn: %v, %v", resp, err)
+		// A single caller keeps one conn either way: the serial client
+		// reuses its pooled conn, the pipelined one shares its pipe.
+		held := clientFor(t, n.addr, pipelined)
+		if err := held.Ping(); err != nil {
+			t.Fatalf("ping on the first conn: %v", err)
 		}
 		extra, err := net.Dial("tcp", n.addr)
 		if err != nil {
@@ -131,105 +143,53 @@ func TestServerConnCapRejectsAtAccept(t *testing.T) {
 		if n.reg.Counter("busy_conns_rejected_total").Value() == 0 {
 			t.Error("busy_conns_rejected_total = 0 after an over-cap connect")
 		}
-		if resp, err := held.do(proto.Request{Op: proto.OpPing}); err != nil || resp.Status != proto.StatusOK {
-			t.Fatalf("held conn unusable at MaxConns: %v, %v", resp, err)
+		if err := held.Ping(); err != nil {
+			t.Fatalf("held conn unusable at MaxConns: %v", err)
 		}
 	})
 }
 
-// TestServerInflightSlot pins who holds the one in-flight slot, and what
-// a saturated node still answers. A holder asks for maximum-size values
-// and stops reading after the first byte — proof the first handler has
-// returned and its response is on the way out. A lockstep holder queues
-// enough requests to overrun any socket buffer, so the server ends up
-// blocked in a write with the slot held until that write completes: a
-// prober (in either mode) gets StatusBusy for data ops while the
-// gate-exempt ops answer. On a pipelined conn the slot was released when
-// the handler returned, so the stalled peer costs nobody anything.
+// TestServerInflightSlot pins what holds the one in-flight slot: only a
+// request inside its handler. A holder asks for a maximum-size value and
+// stops reading after the first byte — proof its handler has returned
+// and the response is on the way out. The slot was released when the
+// handler returned, so the stalled peer costs a prober of either kind
+// nothing.
 func TestServerInflightSlot(t *testing.T) {
 	checkGoroutineLeaks(t)
-	for _, holderPipelined := range []bool{false, true} {
-		name := "holder-lockstep"
-		if holderPipelined {
-			name = "holder-pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			eachRoleAndMode(t, func(t *testing.T, frontend, pipelined bool) {
-				n := startTestNode(t, frontend, overload.Limits{MaxInflight: 1, AdmissionWait: -1}, 0)
-				n.seed("big", make([]byte, proto.MaxValueLen))
-				n.seed("small", []byte("v"))
+	t.Run("holder-pipelined", func(t *testing.T) {
+		eachRoleAndMode(t, func(t *testing.T, frontend, pipelined bool) {
+			n := startTestNode(t, frontend, overload.Limits{MaxInflight: 1, AdmissionWait: -1}, 0)
+			n.seed("big", make([]byte, proto.MaxValueLen))
+			n.seed("small", []byte("v"))
 
-				holder := dialPeer(t, n.addr, holderPipelined)
-				requests := 4 // 16 MiB of responses: beyond tcp_wmem + tcp_rmem
-				if holderPipelined {
-					requests = 1 // nothing may still be in a handler once its first byte arrives
-				}
-				for i := 0; i < requests; i++ {
-					if err := holder.send(proto.Request{Op: proto.OpGet, Key: "big"}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				holder.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				if _, err := holder.r.ReadByte(); err != nil {
-					t.Fatalf("first byte of the big response: %v", err)
-				}
+			holder := dialPeer(t, n.addr)
+			if err := holder.send(proto.Request{Op: proto.OpGet, Key: "big"}); err != nil {
+				t.Fatal(err)
+			}
+			holder.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := holder.r.ReadByte(); err != nil {
+				t.Fatalf("first byte of the big response: %v", err)
+			}
 
-				c := clientFor(t, n.addr, pipelined)
-				if holderPipelined {
-					for i := 0; i < 20; i++ {
-						if _, err := c.Get("small"); err != nil {
-							t.Fatalf("get %d beside a stalled pipelined peer: %v", i, err)
-						}
-					}
-					return
+			c := clientFor(t, n.addr, pipelined)
+			for i := 0; i < 20; i++ {
+				if _, err := c.Get("small"); err != nil {
+					t.Fatalf("get %d beside a stalled peer: %v", i, err)
 				}
-				// While the socket buffers still absorb responses the slot
-				// is free between the holder's requests; once a write
-				// blocks, every data op is shed until the holder drains.
-				if err := waitUntil(3*time.Second, func() bool {
-					for i := 0; i < 10; i++ {
-						if _, err := c.Get("small"); !errors.Is(err, ErrBusy) {
-							return false
-						}
-					}
-					return true
-				}); err != nil {
-					t.Fatal("a lockstep peer stalled mid-response does not hold the in-flight slot")
-				}
-				if n.reg.Counter("shed_total").Value() == 0 {
-					t.Error("shed_total = 0 after shed requests")
-				}
-				if err := c.Ping(); err != nil {
-					t.Errorf("Ping on a saturated node: %v", err)
-				}
-				if _, err := c.Stats(); err != nil {
-					t.Errorf("Stats on a saturated node: %v", err)
-				}
-				if frontend {
-					if _, err := c.Members(); err != nil {
-						t.Errorf("Members on a saturated frontend: %v", err)
-					}
-				}
-				// Drain the responses: the slot frees and service resumes.
-				go io.Copy(io.Discard, holder.r)
-				if err := waitUntil(5*time.Second, func() bool {
-					_, err := c.Get("small")
-					return err == nil
-				}); err != nil {
-					t.Fatal("service never resumed after the stalled peer drained")
-				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // TestServerIdleTimeoutDropsSilentConn: a peer that goes silent — before
-// its first frame, or after upgrading — is disconnected, not kept.
+// its first frame (the lockstep arm), or after an exchange (the
+// pipelined arm) — is disconnected, not kept.
 func TestServerIdleTimeoutDropsSilentConn(t *testing.T) {
 	checkGoroutineLeaks(t)
 	eachRoleAndMode(t, func(t *testing.T, frontend, pipelined bool) {
 		n := startTestNode(t, frontend, overload.Limits{}, 60*time.Millisecond)
-		p := dialPeer(t, n.addr, pipelined)
+		p := dialPeer(t, n.addr)
 		if pipelined {
 			if _, err := p.do(proto.Request{Op: proto.OpPing}); err != nil {
 				t.Fatal(err)
@@ -242,19 +202,33 @@ func TestServerIdleTimeoutDropsSilentConn(t *testing.T) {
 	})
 }
 
-// TestServerUncorrelatedFrameAfterUpgradeClosesConn: the upgrade is for
-// life, so a corr-0 frame on an upgraded conn is a corrupt stream.
+// TestServerUncorrelatedFrameOnFreshConnClosesConn: every frame must
+// carry a correlation ID, so a corr-0 frame — what a peer that predates
+// correlated frames sends first — is malformed and drops the conn with
+// no response.
+func TestServerUncorrelatedFrameOnFreshConnClosesConn(t *testing.T) {
+	checkGoroutineLeaks(t)
+	for _, frontend := range []bool{false, true} {
+		n := startTestNode(t, frontend, overload.Limits{}, 0)
+		p := dialPeer(t, n.addr)
+		if resp, err := p.uncorrelatedPing(); err != io.EOF {
+			t.Fatalf("frontend=%v: corr-0 frame on a fresh conn = %v, %v; want EOF", frontend, resp, err)
+		}
+	}
+}
+
+// TestServerUncorrelatedFrameAfterUpgradeClosesConn: a corr-0 frame is
+// malformed after correlated traffic too.
 func TestServerUncorrelatedFrameAfterUpgradeClosesConn(t *testing.T) {
 	checkGoroutineLeaks(t)
 	for _, frontend := range []bool{false, true} {
 		n := startTestNode(t, frontend, overload.Limits{}, 0)
-		p := dialPeer(t, n.addr, true)
+		p := dialPeer(t, n.addr)
 		if resp, err := p.do(proto.Request{Op: proto.OpPing}); err != nil || resp.Status != proto.StatusOK {
 			t.Fatalf("frontend=%v: correlated ping: %v, %v", frontend, resp, err)
 		}
-		p.pipelined = false
-		if resp, err := p.do(proto.Request{Op: proto.OpPing}); err != io.EOF {
-			t.Fatalf("frontend=%v: uncorrelated frame after upgrade = %v, %v; want EOF", frontend, resp, err)
+		if resp, err := p.uncorrelatedPing(); err != io.EOF {
+			t.Fatalf("frontend=%v: uncorrelated frame after a correlated one = %v, %v; want EOF", frontend, resp, err)
 		}
 	}
 }

@@ -99,55 +99,61 @@ func TestBackendMaxConnsRejectsAtAccept(t *testing.T) {
 // pingRaw does one OpPing exchange on an already-established conn (a
 // fresh Client would dial a new connection and defeat the point).
 func pingRaw(conn net.Conn) error {
-	if err := proto.WriteRequest(conn, &proto.Request{Op: proto.OpPing}); err != nil {
+	if err := proto.WriteRequest(conn, &proto.Request{Op: proto.OpPing, Corr: 1}); err != nil {
 		return err
 	}
 	resp, err := proto.ReadResponse(bufio.NewReader(conn))
 	if err != nil {
 		return err
 	}
+	if resp.Corr != 1 {
+		return errors.New("ping answered under the wrong correlation ID")
+	}
 	return resp.Err()
 }
 
-// TestBackendMaxInflightSheds: with one in-flight slot held (a reader
-// draining a large response slowly), concurrent requests are shed.
+// TestBackendMaxInflightSheds: with the one in-flight slot held (a Set
+// parked inside its handler), concurrent requests are shed, and service
+// resumes once the handler returns.
 func TestBackendMaxInflightSheds(t *testing.T) {
 	checkGoroutineLeaks(t)
-	b, addr, err := StartBackendWithLimits(0, "127.0.0.1:0",
-		overload.Limits{MaxInflight: 1, AdmissionWait: -1})
+	b := NewBackendWithLimits(0, overload.Limits{MaxInflight: 1, AdmissionWait: -1})
+	parked, release := make(chan struct{}), make(chan struct{})
+	handle := b.srv.handle
+	b.srv.handle = func(req *proto.Request, scratch *[]byte) *proto.Response {
+		if req.Op == proto.OpSet && req.Key == "park" {
+			close(parked)
+			<-release
+		}
+		return handle(req, scratch)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	go b.Serve(l)
 	defer b.Close()
-	// A value far beyond the socket buffer, so writing the response
-	// blocks until the peer reads — the slot stays held.
-	big := make([]byte, 4<<20)
-	b.Store().Set("big", big)
 	b.Store().Set("small", []byte("v"))
 
-	slow, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
-	// Request the big value and do NOT read the response: the handler
-	// occupies the only in-flight slot while blocked on the write.
-	if err := proto.WriteRequest(slow, &proto.Request{Op: proto.OpGet, Key: "big"}); err != nil {
-		t.Fatal(err)
-	}
+	holder := NewClientWithConfig(l.Addr().String(), ClientConfig{MaxRetries: -1})
+	defer holder.Close()
+	held := make(chan error, 1)
+	go func() { held <- holder.Set("park", []byte("v")) }()
+	<-parked
 
-	c := NewClientWithConfig(addr, ClientConfig{MaxRetries: -1})
+	c := NewClientWithConfig(l.Addr().String(), ClientConfig{MaxRetries: -1})
 	defer c.Close()
-	waitFor(t, 2*time.Second, "a request shed while the in-flight slot is held", func() bool {
-		_, err := c.Get("small")
-		return errors.Is(err, ErrBusy)
-	})
-	// Drain the big response: the slot frees and service resumes.
-	go io.Copy(io.Discard, slow)
-	waitFor(t, 2*time.Second, "service resuming once the slot frees", func() bool {
-		_, err := c.Get("small")
-		return err == nil
-	})
+	if _, err := c.Get("small"); !errors.Is(err, ErrBusy) {
+		t.Fatalf("get while the in-flight slot is held = %v, want ErrBusy", err)
+	}
+	// Return the parked handler: the slot frees and service resumes.
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatalf("parked set: %v", err)
+	}
+	if _, err := c.Get("small"); err != nil {
+		t.Fatalf("get once the slot freed: %v", err)
+	}
 }
 
 // TestFrontendFailsOverOnBusyWithoutTrippingBreaker is the core

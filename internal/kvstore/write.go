@@ -331,10 +331,15 @@ func (f *Frontend) Cas(key string, value []byte, expect uint64) (uint64, error) 
 	// As in Set: once the swap is down, no later miss may join a fetch
 	// that started before it.
 	defer f.flights.Forget(key)
+	// Same-key racers take turns, so each one's precondition is judged
+	// against what the one before it committed.
+	id := KeyID(key)
+	mu := &f.casMu[id%fillStripes]
+	mu.Lock()
+	defer mu.Unlock()
 	f.rotMu.RLock()
 	defer f.rotMu.RUnlock()
 	epoch, cur, prev := f.part.Snapshot()
-	id := KeyID(key)
 	if prev != nil && !f.part.Migrated(id) {
 		// Mid-rotation the new group may not hold the key yet, and a CAS
 		// judged against its emptiness would misfire (an expect-0 create

@@ -268,7 +268,7 @@ func (g *Gate) ReleaseConn() {
 // Admit decides one request: the rate limiter is consulted first (cheap,
 // never blocks), then an in-flight slot is acquired with the configured
 // short wait. False means "shed now with StatusBusy". A true return must
-// be paired with Release after the response is written.
+// be paired with Release once the request has been served.
 func (g *Gate) Admit() bool {
 	if g == nil {
 		return true

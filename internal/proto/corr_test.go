@@ -72,9 +72,10 @@ func TestCorrResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorrZeroUnchangedEncoding: corr 0 is the legacy lockstep exchange
-// and must encode byte-identically to the pre-extension format — that IS
-// the interop rule with old peers.
+// TestCorrZeroUnchangedEncoding: corr 0 encodes byte-identically to the
+// pre-extension format — no tag at all — which is what lets a server
+// recognize (and refuse) a frame from a peer that predates the
+// extension.
 func TestCorrZeroUnchangedEncoding(t *testing.T) {
 	reqs := []Request{
 		{Op: OpGet, Key: "k"},

@@ -32,9 +32,8 @@ type MGetResult struct {
 	Value []byte
 }
 
-// AppendMGetRequest encodes a batch-read request (lockstep form; the
-// pipelined path goes through AppendRequest, which threads the
-// correlation ID).
+// AppendMGetRequest encodes a batch-read request without a correlation
+// ID; clients go through AppendRequest, which threads it.
 func AppendMGetRequest(dst []byte, keys []string) ([]byte, error) {
 	return appendMGetRequestCorr(dst, keys, 0)
 }

@@ -47,22 +47,18 @@
 // every pre-extension frame stays byte-identical and old peers are
 // unaffected unless they talk to a hinting frontend.
 //
-// Requests and responses may both carry a correlation-ID extension,
-// which is what turns the lockstep protocol into a pipelined one:
+// Requests and responses carry a correlation-ID extension:
 //
 //	byte    0xE4 (correlation tag)
 //	uvarint correlation ID (non-zero)
 //
-// A client that pipelines stamps every request with a connection-unique
-// non-zero ID and may have many frames in flight; the server echoes the
-// ID on the matching response, which may be written out of order. ID 0
-// encodes as no extension at all, so a non-pipelining client's frames
-// are byte-identical to the pre-extension format and the exchange stays
-// strict lockstep: one request, one response, in order. Servers treat
-// the first correlated frame on a connection as the upgrade signal;
-// peers that predate the extension reject the unknown tag as malformed,
-// so a pipelining client talking to an old server fails loudly on the
-// first frame instead of desynchronizing mid-stream.
+// A client stamps every request with a connection-unique non-zero ID,
+// whether it keeps one frame in flight or many; the server echoes the ID
+// on the matching response, which may be written out of order. Servers
+// require the ID: ID 0 encodes as no extension at all, and a server
+// drops a conn whose request lacks one, as it drops any malformed frame.
+// A peer that predates the extension is thus refused on its first frame
+// instead of desynchronizing mid-stream.
 //
 // There is still no versioning negotiation. Frames are bounded
 // (MaxKeyLen, MaxValueLen) so a malicious peer cannot make a server
@@ -269,9 +265,8 @@ const (
 
 // Correlation extension encoding: tag byte, uvarint correlation ID.
 // Valid on every request op (including OpMGet) and on responses. ID 0
-// encodes as no extension — the legacy lockstep exchange — so only
-// pipelined peers ever emit the tag. See the package comment for the
-// pipelining contract.
+// encodes as no extension, which servers refuse. See the package comment
+// for the correlation contract.
 const extCorrTag = 0xE4
 
 // corrExtLen returns the encoded size of the correlation extension for
@@ -351,10 +346,10 @@ type Request struct {
 	// OpScan page.
 	ScanDigest bool
 
-	// Corr is the request's correlation ID (0 = lockstep, encoded as no
-	// extension). A pipelining client assigns a connection-unique
-	// non-zero ID per in-flight frame; the server echoes it on the
-	// response so out-of-order completions can be matched.
+	// Corr is the request's correlation ID. A client assigns a
+	// connection-unique non-zero ID per frame; the server echoes it on
+	// the response so out-of-order completions can be matched. 0 encodes
+	// as no extension, and servers refuse such a frame as malformed.
 	Corr uint64
 }
 
@@ -381,10 +376,9 @@ type Response struct {
 	// encoded — "idle" is a meaningful hint.
 	LoadHinted bool
 
-	// Corr echoes the matched request's correlation ID (0 = lockstep,
-	// encoded as no extension). Pipelined clients use it to pair a
-	// response with its request; anything unknown is a protocol
-	// violation that tears the connection down.
+	// Corr echoes the matched request's correlation ID. Clients use it
+	// to pair a response with its request; anything unknown is a
+	// protocol violation that tears the connection down.
 	Corr uint64
 }
 
