@@ -1,6 +1,6 @@
 # Developer targets. `make verify` is the tier-1 gate; `make race`
-# runs the race-enabled loopback-TCP network tests (kvstore) that every
-# resilience PR should keep green.
+# runs the race-enabled loopback-TCP network tests (kvstore, node) that
+# every resilience PR should keep green.
 
 GO ?= go
 
@@ -33,12 +33,13 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Race-detect the networked kvstore package: failover, retries, breaker
-# transitions, the probe loop, and the pipelined transport's reader/
-# writer/watchdog goroutines all run real goroutines over loopback. The
-# proto package rides along for its pooled frame and struct lifecycles.
+# Race-detect the networked kvstore and node packages: failover,
+# retries, breaker transitions, the probe loop, the pipelined
+# transport's reader/writer/watchdog goroutines and the node's conn
+# pipelines all run real goroutines over loopback. The proto package
+# rides along for its pooled frame and struct lifecycles.
 race:
-	$(GO) vet ./... && $(GO) test -race ./internal/kvstore/... ./internal/proto/...
+	$(GO) vet ./... && $(GO) test -race ./internal/kvstore/... ./internal/node/... ./internal/proto/...
 
 # Chaos suite: the cluster driven through faultnet fault schedules
 # (floods, latency, truncation, flapping partitions) under -race, plus
@@ -51,12 +52,12 @@ chaos:
 # engine's own tests (torn tails, mid-segment corruption, hint fallback,
 # merge interruption), the kvstore crash-point suite (kill -9 torn tail,
 # quarantine-and-refill, warm restart with zero repair traffic, crash
-# recovery and stale-replica convergence from a data dir), the snapshot
-# import tests (all-or-nothing, logged and fsynced, hostile input), and
-# kvnode's own boot import and SIGTERM shutdown, all under -race.
+# recovery and stale-replica convergence from a data dir, replay of a
+# log every store mutator wrote concurrently), and kvnode's SIGTERM
+# shutdown, all under -race.
 wal:
 	$(GO) test -race ./internal/wal/... && \
-	$(GO) test -race -v -run 'TestChaosWarmRestart|TestChaosKill9|TestChaosCorruptionQuarantine|TestChaosTruncatedHint|TestBackendCrashRecovery|TestStaleReplicaConvergesAfterPartialSet|TestSnapshot|TestLoadSnapshot' ./internal/kvstore/ && \
+	$(GO) test -race -v -run 'TestChaosWarmRestart|TestChaosKill9|TestChaosCorruptionQuarantine|TestChaosTruncatedHint|TestBackendCrashRecovery|TestStaleReplicaConvergesAfterPartialSet|TestStoreConcurrentVersionedWrites' ./internal/kvstore/ && \
 	$(GO) test -race ./cmd/kvnode/
 
 # Remap matrix: both kinds of epoch change through the one remap
@@ -118,15 +119,14 @@ fuzz:
 	$(GO) test -fuzz='^FuzzReadResponse$$' -fuzztime=$(FUZZTIME) ./internal/proto/
 	$(GO) test -fuzz='^FuzzScanPayload$$' -fuzztime=$(FUZZTIME) ./internal/proto/
 	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/trace/
-	$(GO) test -fuzz='^FuzzReadSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/kvstore/
-	$(GO) test -fuzz='^FuzzServeConn$$' -fuzztime=$(FUZZTIME) ./internal/kvstore/
+	$(GO) test -fuzz='^FuzzServeConn$$' -fuzztime=$(FUZZTIME) ./internal/node/
 	$(GO) test -fuzz='^FuzzReplaySegment$$' -fuzztime=$(FUZZTIME) ./internal/wal/
 
 # Non-test Go line counts for the serving path and the binaries — the
 # number ROADMAP's "same behaviour from the least machinery" is tracked
 # by.
 loc:
-	@for d in internal/kvstore internal/proto cmd; do \
+	@for d in internal/kvstore internal/node internal/proto cmd; do \
 		printf '%-18s %s\n' $$d \
 			$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done

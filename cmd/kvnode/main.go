@@ -6,8 +6,9 @@
 // the quorum). By default state lives in memory only; -data-dir attaches
 // a write-ahead log, the node's only durability mechanism, so a crashed
 // node replays back to its exact pre-crash keyset instead of rejoining
-// empty and being refilled over the network. -snapshot imports a
-// snapshot file once into an empty data dir (all or nothing, fsynced).
+// empty and being refilled over the network. A node starts with the
+// data its -data-dir replays, or empty and filled by a live join
+// (-join-via).
 //
 // Usage:
 //
@@ -29,18 +30,17 @@ import (
 	"syscall"
 	"time"
 
-	"securecache/internal/kvstore"
+	"securecache/internal/node"
 	"securecache/internal/overload"
 	"securecache/internal/wal"
 )
 
 func main() {
 	var (
-		id       = flag.Int("id", 0, "node ID (for logs/stats)")
-		listen   = flag.String("listen", "127.0.0.1:7001", "listen address")
-		admin    = flag.String("admin", "", "optional HTTP admin address (/healthz, /metrics, /info)")
-		snapshot = flag.String("snapshot", "", "snapshot file to import once at startup into an empty -data-dir (skipped when the WAL replays data; needs -data-dir)")
-		idle     = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = keep forever)")
+		id     = flag.Int("id", 0, "node ID (for logs/stats)")
+		listen = flag.String("listen", "127.0.0.1:7001", "listen address")
+		admin  = flag.String("admin", "", "optional HTTP admin address (/healthz, /metrics, /info)")
+		idle   = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = keep forever)")
 
 		dataDir  = flag.String("data-dir", "", "write-ahead log directory: replayed at startup, every write logged (empty = memory-only)")
 		walSeg   = flag.Int64("wal-segment-bytes", 0, "seal WAL segments at this size (0 = default 64MiB)")
@@ -57,28 +57,24 @@ func main() {
 		admitWait   = flag.Duration("admission-wait", 0, "how long a request may wait for an in-flight slot before being shed (0 = default, negative = none)")
 	)
 	flag.Parse()
-	if *snapshot != "" && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "kvnode: -snapshot needs -data-dir")
-		os.Exit(2)
-	}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvnode:", err)
 		os.Exit(2)
 	}
-	node := kvstore.NewBackendWithLimits(*id, overload.Limits{
+	b := node.NewBackendWithLimits(*id, overload.Limits{
 		MaxInflight:   *maxInflight,
 		MaxConns:      *maxConns,
 		RateLimit:     *rateLimit,
 		RateBurst:     *rateBurst,
 		AdmissionWait: *admitWait,
 	})
-	node.SetIdleTimeout(*idle)
+	b.SetIdleTimeout(*idle)
 	log.Printf("kvnode %d listening on %s", *id, l.Addr())
 
 	if *dataDir != "" {
-		recovered, err := node.OpenData(*dataDir, wal.Options{
+		recovered, err := b.OpenData(*dataDir, wal.Options{
 			SegmentBytes:    *walSeg,
 			SyncInterval:    *walSync,
 			SyncEveryAppend: *walFsync,
@@ -90,7 +86,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kvnode:", err)
 			os.Exit(2)
 		}
-		st := node.WAL().Stats()
+		st := b.WAL().Stats()
 		switch {
 		case recovered:
 			log.Printf("kvnode %d: data dir %s was corrupt — quarantined to %s.corrupt, starting empty for repair",
@@ -103,27 +99,8 @@ func main() {
 		}
 	}
 
-	if *snapshot != "" && node.WAL().Stats().Replayed > 0 {
-		// One-shot import: once the log holds data it is the node's state.
-		log.Printf("kvnode %d: WAL replayed; skipping snapshot import from %s", *id, *snapshot)
-	} else if *snapshot != "" {
-		switch err := node.LoadSnapshot(*snapshot); {
-		case err == nil:
-			log.Printf("kvnode %d imported %d keys from %s", *id, node.Store().Len(), *snapshot)
-		case os.IsNotExist(err) || errors.Is(err, kvstore.ErrBadSnapshot):
-			// Nothing was imported. A missing or corrupt snapshot must not
-			// keep the node down: an empty replica rejoins and is refilled
-			// by hinted handoff and anti-entropy, while a crash-looping one
-			// serves nobody.
-			log.Printf("kvnode %d: snapshot %s not imported (%v), starting empty", *id, *snapshot, err)
-		default: // unopenable file, or the log could not make the import durable
-			fmt.Fprintln(os.Stderr, "kvnode:", err)
-			os.Exit(2)
-		}
-	}
-
 	if *admin != "" {
-		adminSrv, adminAddr, err := kvstore.StartAdmin(*admin, node.Metrics(),
+		adminSrv, adminAddr, err := node.StartAdmin(*admin, b.Metrics(),
 			map[string]interface{}{"role": "backend", "id": *id, "addr": l.Addr().String()})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kvnode:", err)
@@ -151,10 +128,10 @@ func main() {
 	go func() {
 		<-sig
 		log.Printf("kvnode %d shutting down", *id)
-		closed <- node.Close()
+		closed <- b.Close()
 	}()
 
-	if err := node.Serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
+	if err := b.Serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
 		log.Fatalf("kvnode %d: %v", *id, err)
 	}
 	// Serve returns once Close shuts the listener, before Close has

@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -48,8 +48,8 @@ func (b *logBuffer) String() string {
 	return b.buf.String()
 }
 
-// node is a kvnode child process.
-type node struct {
+// child is a kvnode child process.
+type child struct {
 	cmd  *exec.Cmd
 	log  *logBuffer
 	addr string
@@ -60,9 +60,9 @@ var listeningRE = regexp.MustCompile(`listening on (\S+)`)
 
 // startNode runs kvnode with args and waits until it reports its
 // listen address.
-func startNode(t *testing.T, args ...string) *node {
+func startNode(t *testing.T, args ...string) *child {
 	t.Helper()
-	n := &node{
+	n := &child{
 		cmd:  exec.Command(os.Args[0], append([]string{"-listen", "127.0.0.1:0"}, args...)...),
 		log:  &logBuffer{},
 		done: make(chan error, 1),
@@ -93,7 +93,7 @@ func startNode(t *testing.T, args ...string) *node {
 
 // stop sends SIGTERM and waits for the exit, failing if it takes longer
 // than the benchmark cluster's 2 s grace before it kills a node.
-func (n *node) stop(t *testing.T) error {
+func (n *child) stop(t *testing.T) error {
 	t.Helper()
 	if err := n.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func (n *node) stop(t *testing.T) error {
 	}
 }
 
-func (n *node) get(t *testing.T, key string) string {
+func (n *child) get(t *testing.T, key string) string {
 	t.Helper()
 	c := kvstore.NewClient(n.addr)
 	defer c.Close()
@@ -147,55 +147,34 @@ func TestSIGTERMClosesWALBeforeExit(t *testing.T) {
 	}
 }
 
-// v1Snapshot is a one-entry snapshot stream (format v1) holding key=value.
-func v1Snapshot(t *testing.T, key, value string) string {
-	t.Helper()
-	b := []byte{'S', 'C', 'K', 'V', 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, byte(len(key))}
-	b = append(b, key...)
-	b = append(b, 0, 0, 0, byte(len(value)))
-	b = append(b, value...)
-	path := filepath.Join(t.TempDir(), key+"-"+value+".snap")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+// forbiddenDeps are the packages a back-end node has no business
+// linking: the frontend's package and everything only the frontend, the
+// cache or the partition seed needs.
+var forbiddenDeps = []string{
+	"kvstore", "cache", "sketch", "rotation", "disttier", "repair",
+	"guard", "membership", "ballsbins", "core", "partition",
 }
 
-// TestSnapshotImportOnceAtBoot: -snapshot seeds an empty data dir, and
-// once the log holds data a later -snapshot is skipped.
-func TestSnapshotImportOnceAtBoot(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "data")
-	n := startNode(t, "-data-dir", dir, "-snapshot", v1Snapshot(t, "k", "first"))
-	if got := n.get(t, "k"); got != "first" {
-		t.Fatalf("after import: %q, want %q", got, "first")
+// TestNodeLinksOnlyTheNode: kvnode's import graph holds none of the
+// frontend's packages. A node stores a partition and answers reads; it
+// never sees the cache, the secret seed or the attack.
+func TestNodeLinksOnlyTheNode(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		gobin = filepath.Join(runtime.GOROOT(), "bin", "go")
+		if _, serr := os.Stat(gobin); serr != nil {
+			t.Skip("no go binary to run go list with")
+		}
 	}
-	if err := n.stop(t); err != nil {
-		t.Fatal(err)
+	out, err := exec.Command(gobin, "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
 	}
-
-	n = startNode(t, "-data-dir", dir, "-snapshot", v1Snapshot(t, "k", "second"))
-	if got := n.get(t, "k"); got != "first" {
-		t.Fatalf("second boot served %q: the import ran over a replayed WAL", got)
-	}
-	if !strings.Contains(n.log.String(), "skipping snapshot import") {
-		t.Errorf("no skip line logged; log:\n%s", n.log)
-	}
-	if err := n.stop(t); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSnapshotNeedsDataDir: an import has nowhere durable to go without
-// a data dir, so kvnode refuses the flag combination.
-func TestSnapshotNeedsDataDir(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-listen", "127.0.0.1:0", "-snapshot", "x.snap")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want status 2; output:\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "-snapshot needs -data-dir") {
-		t.Errorf("output %q lacks the reason", out)
+	for _, dep := range strings.Fields(string(out)) {
+		for _, bad := range forbiddenDeps {
+			if dep == "securecache/internal/"+bad {
+				t.Errorf("kvnode links %s", dep)
+			}
+		}
 	}
 }

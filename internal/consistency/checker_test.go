@@ -71,7 +71,7 @@ func TestRegisterRejectsLostUpdate(t *testing.T) {
 
 func TestRegisterRejectsFalseConflict(t *testing.T) {
 	// A conflict against the actually-live expectation is a CAS check bug
-	// (the disableCasCheck mutation produces the successful mirror image).
+	// (the node.DisableCasCheck mutation produces the successful mirror image).
 	mustFail(t, seqHistory([]Op{
 		{Kind: KindSet, Key: "k", Arg: []byte("a"), Out: OutOK, Ver: 10},
 		{Kind: KindCas, Key: "k", Arg: []byte("b"), Expect: 10, Out: OutConflict, Ver: 10},

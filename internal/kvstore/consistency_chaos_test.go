@@ -50,6 +50,7 @@ import (
 
 	"securecache/internal/consistency"
 	"securecache/internal/faultnet"
+	"securecache/internal/node"
 	"securecache/internal/overload"
 )
 
@@ -834,8 +835,8 @@ func TestConsistencyMutationCasCheckDisabled(t *testing.T) {
 	checkGoroutineLeaks(t)
 	run := func(t *testing.T, mutate bool) (consistency.Result, consistency.History) {
 		if mutate {
-			testHooks.disableCasCheck.Store(true)
-			defer testHooks.disableCasCheck.Store(false)
+			node.DisableCasCheck.Store(true)
+			defer node.DisableCasCheck.Store(false)
 		}
 		lc := startCluster(t, LocalConfig{
 			Nodes: 1, Replication: 1, PartitionSeed: 11, WriteQuorum: 1,

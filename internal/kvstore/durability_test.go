@@ -394,7 +394,7 @@ func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 	// closing (or fsyncing) the log.
 	proxy.SetFaults(faultnet.Faults{Blackhole: true, RejectConns: true})
 	proxy.CloseExisting()
-	backends[2].srv.close()
+	backends[2].Server().Close()
 
 	// The overwrite reaches only the two survivors: quorum met, hint
 	// queued for node 2.

@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"securecache/internal/cache"
-	"securecache/internal/hashing"
 	"securecache/internal/membership"
 	"securecache/internal/metrics"
+	"securecache/internal/node"
 	"securecache/internal/overload"
 	"securecache/internal/partition"
 	"securecache/internal/proto"
@@ -63,14 +63,6 @@ const (
 	// SelectRoundRobin rotates over the replica group per GET.
 	SelectRoundRobin Selection = "round-robin"
 )
-
-// keyIDSeed converts wire keys to the uint64 IDs the partitioner and the
-// cache use. It is a fixed public constant: the security of the scheme
-// rests on the partition seed, not on this mapping.
-const keyIDSeed = 0xfeed5eed
-
-// KeyID maps a wire key to its 64-bit ID.
-func KeyID(key string) uint64 { return hashing.Hash64(key, keyIDSeed) }
 
 // FrontendConfig configures a Frontend.
 type FrontendConfig struct {
@@ -190,8 +182,8 @@ type Frontend struct {
 	probeWG   sync.WaitGroup
 
 	// srv is the frontend's own listener: connections and admission
-	// (server.go). retryBudget is shared by its backend clients.
-	srv         *connServer
+	// (node.ConnServer). retryBudget is shared by its backend clients.
+	srv         *node.ConnServer
 	retryBudget *overload.RetryBudget
 
 	// cache is the concurrency-safe view of cfg.Cache (nil when caching
@@ -268,8 +260,8 @@ type Frontend struct {
 //     global IDs, so a join or drain moves only the ~d/n of keys whose
 //     replica sets actually touch the changed member.
 //
-// KindJump is registry-only (dense indices shift on mid-list drains),
-// so it is rejected here along with anything else unknown.
+// Any other kind (KindRendezvous, which only the simulations use) is
+// rejected.
 func newMemberMapping(kind partition.Kind, members []int, d int, seed uint64) (partition.Partitioner, error) {
 	switch kind {
 	case "", partition.KindHash:
@@ -354,16 +346,16 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	f.casConflicts = f.metrics.Counter("cas_conflicts_total")
 	f.randState.Store(cfg.PartitionSeed ^ 0x9e3779b97f4a7c15)
 	f.health = newHealthTracker(n, cfg.Health, f.metrics)
-	f.srv = newConnServer("frontend", f.metrics, cfg.Overload)
-	f.srv.idleTimeout.Store(int64(cfg.IdleTimeout))
+	f.srv = node.NewConnServer("frontend", f.metrics, cfg.Overload)
+	f.srv.SetIdleTimeout(cfg.IdleTimeout)
 	// Members is exempt beside Ping/Stats: kvload refreshes its address
 	// list on exactly that path while the data plane sheds.
-	f.srv.handle = f.handle
-	f.srv.exempt = ops(proto.OpPing, proto.OpStats, proto.OpMembers)
-	f.srv.fast = f.fast
-	f.srv.fastOps = ops(proto.OpGet)
+	f.srv.Handle = f.handle
+	f.srv.Exempt = node.Ops(proto.OpPing, proto.OpStats, proto.OpMembers)
+	f.srv.Fast = f.fast
+	f.srv.FastOps = node.Ops(proto.OpGet)
 	if f.tier != nil {
-		f.srv.load = &f.tier.inflight
+		f.srv.Load = &f.tier.inflight
 	}
 	ccfg := cfg.Client
 	if ccfg.PipelineDepth <= 0 {
@@ -462,10 +454,10 @@ func (f *Frontend) Metrics() *metrics.Registry { return f.metrics }
 // SetIdleTimeout bounds how long a client connection may sit between
 // requests before the frontend drops it (0 = forever). Takes effect on
 // each connection's next read.
-func (f *Frontend) SetIdleTimeout(d time.Duration) { f.srv.idleTimeout.Store(int64(d)) }
+func (f *Frontend) SetIdleTimeout(d time.Duration) { f.srv.SetIdleTimeout(d) }
 
 // Group returns the replica group of a wire key (exposed for tests and
-// the livecluster example, which needs ground truth).
+// the benchmark, which need ground truth).
 func (f *Frontend) Group(key string) []int { return f.part.Group(KeyID(key)) }
 
 // cacheEntry encodes (key, version, value) so hash collisions on KeyID
@@ -899,7 +891,7 @@ func (f *Frontend) CacheStats() cache.Stats {
 	return f.cache.Stats()
 }
 
-// fast answers a cache-hit GET without blocking (see connServer). A
+// fast answers a cache-hit GET without blocking (see node.ConnServer). A
 // miss counts nothing here: handle serves it, and counts it, once.
 func (f *Frontend) fast(req *proto.Request, _ *[]byte) *proto.Response {
 	v, _, ok := f.cacheGet(req.Key)
@@ -908,7 +900,7 @@ func (f *Frontend) fast(req *proto.Request, _ *[]byte) *proto.Response {
 	}
 	f.requestsTotal.Inc()
 	f.cacheHits.Inc()
-	return reply(proto.StatusOK, v)
+	return node.Reply(proto.StatusOK, v)
 }
 
 // handle dispatches one wire request. Payloads are fresh or cache-owned
@@ -920,21 +912,21 @@ func (f *Frontend) handle(req *proto.Request, _ *[]byte) *proto.Response {
 		if err != nil {
 			return replyErr(req.Op, err)
 		}
-		return reply(proto.StatusOK, v)
+		return node.Reply(proto.StatusOK, v)
 	case proto.OpGetV:
 		v, ver, tomb, err := f.GetV(req.Key)
 		switch {
 		case tomb:
 			payload, _ := proto.EncodeGetVPayload(ver, nil)
-			return reply(proto.StatusNotFound, payload)
+			return node.Reply(proto.StatusNotFound, payload)
 		case err != nil:
 			return replyErr(req.Op, err)
 		}
 		payload, err := proto.EncodeGetVPayload(ver, v)
 		if err != nil {
-			return errResponse("frontend", req.Op, err)
+			return node.ErrResponse("frontend", req.Op, err)
 		}
-		return reply(proto.StatusOK, payload)
+		return node.Reply(proto.StatusOK, payload)
 	case proto.OpSet:
 		ver, err := f.SetV(req.Key, req.Value)
 		return writeResponse(req.Op, ver, err)
@@ -945,7 +937,7 @@ func (f *Frontend) handle(req *proto.Request, _ *[]byte) *proto.Response {
 		if req.Ver != 0 {
 			// The frontend owns the version clock for replicated writes; a
 			// client-chosen version could regress it.
-			return errResponse("frontend", req.Op, errors.New("explicit CAS version reserved for backend writes"))
+			return node.ErrResponse("frontend", req.Op, errors.New("explicit CAS version reserved for backend writes"))
 		}
 		ver, err := f.Cas(req.Key, req.Value, req.CasExpect)
 		return writeResponse(req.Op, ver, err)
@@ -956,40 +948,40 @@ func (f *Frontend) handle(req *proto.Request, _ *[]byte) *proto.Response {
 		}
 		payload, err := proto.EncodeMGetPayload(results)
 		if err != nil {
-			return errResponse("frontend", req.Op, err)
+			return node.ErrResponse("frontend", req.Op, err)
 		}
-		return reply(proto.StatusOK, payload)
+		return node.Reply(proto.StatusOK, payload)
 	case proto.OpStats:
 		blob, err := f.metrics.Snapshot()
 		if err != nil {
-			return errResponse("frontend", req.Op, err)
+			return node.ErrResponse("frontend", req.Op, err)
 		}
-		return reply(proto.StatusOK, blob)
+		return node.Reply(proto.StatusOK, blob)
 	case proto.OpMembers:
 		blob, err := json.Marshal(f.MembershipStatus())
 		if err != nil {
-			return errResponse("frontend", req.Op, err)
+			return node.ErrResponse("frontend", req.Op, err)
 		}
-		return reply(proto.StatusOK, blob)
+		return node.Reply(proto.StatusOK, blob)
 	case proto.OpInvalidate:
 		f.Invalidate(req.Key)
-		return reply(proto.StatusOK, nil)
+		return node.Reply(proto.StatusOK, nil)
 	case proto.OpPing:
-		return reply(proto.StatusOK, nil)
+		return node.Reply(proto.StatusOK, nil)
 	default:
-		return errResponse("frontend", req.Op, errors.New("unsupported op"))
+		return node.ErrResponse("frontend", req.Op, errors.New("unsupported op"))
 	}
 }
 
 // Serve accepts client connections on l until Close.
-func (f *Frontend) Serve(l net.Listener) error { return f.srv.serve(l) }
+func (f *Frontend) Serve(l net.Listener) error { return f.srv.Serve(l) }
 
 // Close stops serving and releases backend connections.
 func (f *Frontend) Close() error {
 	// The listener closes before anything below can block: the accept
 	// loop is gone from this point, and a port left bound behind it
 	// would take connections nobody answers.
-	first, err := f.srv.close()
+	first, err := f.srv.Close()
 	if !first {
 		return nil
 	}
@@ -1013,7 +1005,7 @@ func StartFrontend(cfg FrontendConfig, addr string) (*Frontend, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	bound, err := f.srv.listenAndServe(addr)
+	bound, err := f.srv.ListenAndServe(addr)
 	if err != nil {
 		f.Close()
 		return nil, "", err

@@ -10,8 +10,8 @@ import (
 )
 
 // LocalCluster is an in-process deployment of the full architecture on
-// loopback TCP: n backends plus one frontend. It exists for tests, the
-// livecluster example, and the kvload benchmark path.
+// loopback TCP: n backends plus one frontend. It exists for tests and
+// the benchmark.
 type LocalCluster struct {
 	Backends     []*Backend
 	BackendAddrs []string

@@ -18,10 +18,6 @@ var testHooks struct {
 	// miss during replica fan-in instead of an authoritative delete, so
 	// a lagging replica's older live copy can resurrect a deleted key.
 	disableTombAuthority atomic.Bool
-	// disableCasCheck skips the compare-and-swap version precondition in
-	// Store.CasVersioned: every CAS applies, so two CAS ops expecting
-	// the same version can both report success.
-	disableCasCheck atomic.Bool
 	// beforeFill runs between a miss's replica read and its cache fill.
 	beforeFill atomic.Pointer[func(key string)]
 }

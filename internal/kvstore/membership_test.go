@@ -989,16 +989,16 @@ func TestMembershipRingMovedFractionRealized(t *testing.T) {
 	}
 }
 
-// TestFrontendRejectsRegistryOnlyPartitioner pins the guard: mapping
-// families whose group identity depends on dense indices (jump) cannot
-// back live membership.
+// TestFrontendRejectsRegistryOnlyPartitioner pins the guard: a mapping
+// family with no member-ID form (rendezvous) cannot back live
+// membership.
 func TestFrontendRejectsRegistryOnlyPartitioner(t *testing.T) {
 	_, err := NewFrontend(FrontendConfig{
 		BackendAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"},
 		Replication:  2,
-		Partitioner:  partition.KindJump,
+		Partitioner:  partition.KindRendezvous,
 	})
 	if err == nil {
-		t.Fatal("jump partitioner accepted for live membership")
+		t.Fatal("rendezvous partitioner accepted for live membership")
 	}
 }

@@ -349,10 +349,7 @@ func TestFrontendPipelinesBackendHop(t *testing.T) {
 		t.Error(err)
 	}
 	for i, b := range lc.Backends {
-		b.srv.mu.Lock()
-		conns := len(b.srv.conns)
-		b.srv.mu.Unlock()
-		if conns != 1 {
+		if conns := b.Server().Conns(); conns != 1 {
 			t.Errorf("backend %d holds %d frontend conns, want 1", i, conns)
 		}
 		if got := b.Metrics().Counter("gets_total").Value(); got == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"securecache/internal/node"
 	"securecache/internal/proto"
 )
 
@@ -111,7 +112,7 @@ func servedStubFrontend(t *testing.T, s *parkingStub) (*Frontend, string) {
 	t.Helper()
 	f := stubFrontend(t, s.l.Addr().String())
 	t.Cleanup(s.release)
-	addr, err := f.srv.listenAndServe("127.0.0.1:0")
+	addr, err := f.srv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestFrontendPipelinedConnOverlapsMisses(t *testing.T) {
 }
 
 // TestPipelinedConnBackpressure: a peer that writes far more correlated
-// frames than the conn bound and never reads gets at most pipeQueue
+// frames than the conn bound and never reads gets at most node.PipeQueue
 // handlers running; the read loop then stops reading until one
 // finishes, and closing everything leaves no goroutine behind.
 func TestPipelinedConnBackpressure(t *testing.T) {
@@ -183,17 +184,17 @@ func TestPipelinedConnBackpressure(t *testing.T) {
 		wrote <- w.Flush()
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.peakParked() < pipeQueue && time.Now().Before(deadline) {
+	for s.peakParked() < node.PipeQueue && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	time.Sleep(200 * time.Millisecond) // room for a 65th handler to show up
-	if got := s.peakParked(); got != pipeQueue {
-		t.Fatalf("%d handlers ran at once on one conn, want the bound %d", got, pipeQueue)
+	if got := s.peakParked(); got != node.PipeQueue {
+		t.Fatalf("%d handlers ran at once on one conn, want the bound %d", got, node.PipeQueue)
 	}
 	// Each request read costs one cache lookup on the read loop and, once
 	// handed on, one more in Get: the read loop has read exactly one
 	// frame past the running handlers and is blocked on it.
-	if got, want := f.CacheStats().Misses, uint64(2*pipeQueue+1); got != want {
+	if got, want := f.CacheStats().Misses, uint64(2*node.PipeQueue+1); got != want {
 		t.Fatalf("read loop made %d cache lookups, want %d (blocked one frame past the bound)", got, want)
 	}
 	s.release()
@@ -204,7 +205,8 @@ func TestPipelinedConnBackpressure(t *testing.T) {
 
 // TestServeAllocs pins the hit paths of both roles at zero allocations
 // from handler to frame: the response struct comes from the pool that
-// encode returns it to.
+// the server's encode returns it to, which framing and releasing the
+// pair here mirrors.
 func TestServeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
@@ -215,12 +217,11 @@ func TestServeAllocs(t *testing.T) {
 	f.cachePut("k", f.fillGen("k"), 7, []byte("value"))
 	for _, tc := range []struct {
 		name string
-		srv  *connServer
-		fn   handlerFunc
+		fn   node.HandlerFunc
 		op   proto.Op
 	}{
-		{"backend GetV", b.srv, b.handle, proto.OpGetV},
-		{"frontend fast hit", f.srv, f.fast, proto.OpGet},
+		{"backend GetV", b.Server().Fast, proto.OpGetV},
+		{"frontend fast hit", f.fast, proto.OpGet},
 	} {
 		scratch := make([]byte, 0, 512)
 		allocs := testing.AllocsPerRun(200, func() {
@@ -230,7 +231,14 @@ func TestServeAllocs(t *testing.T) {
 			if resp == nil || resp.Status != proto.StatusOK {
 				t.Fatalf("%s: %v", tc.name, resp)
 			}
-			tc.srv.encode(req, resp).Release()
+			resp.Corr = req.Corr
+			frame, err := proto.NewResponseFrame(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame.Release()
+			proto.ReleaseRequest(req)
+			proto.ReleaseResponse(resp)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %.1f allocs from handler to frame, want 0", tc.name, allocs)

@@ -14,13 +14,13 @@ import (
 	"securecache/internal/proto"
 )
 
-// The connServer cases below run against both handlers and both kinds
+// The node.ConnServer cases below run against both handlers and both kinds
 // of peer: the loop is shared, so every rule it enforces must hold for
 // {Backend, Frontend} × {lockstep, pipelined}. Both peers speak
 // correlated frames; a lockstep peer keeps one request in flight (a
 // Client with PipelineDepth 0), a pipelined one a window of them.
 
-// testNode is one serving role behind a connServer.
+// testNode is one serving role behind a node.ConnServer.
 type testNode struct {
 	addr string
 	reg  *metrics.Registry

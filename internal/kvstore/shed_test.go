@@ -119,8 +119,8 @@ func TestBackendMaxInflightSheds(t *testing.T) {
 	checkGoroutineLeaks(t)
 	b := NewBackendWithLimits(0, overload.Limits{MaxInflight: 1, AdmissionWait: -1})
 	parked, release := make(chan struct{}), make(chan struct{})
-	handle := b.srv.handle
-	b.srv.handle = func(req *proto.Request, scratch *[]byte) *proto.Response {
+	handle := b.Server().Handle
+	b.Server().Handle = func(req *proto.Request, scratch *[]byte) *proto.Response {
 		if req.Op == proto.OpSet && req.Key == "park" {
 			close(parked)
 			<-release

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"bytes"
 	"testing"
+
+	"securecache/internal/node"
 )
 
 func TestStoreCasCreateAndSwap(t *testing.T) {
@@ -89,8 +91,8 @@ func TestStoreCasAssignsVersion(t *testing.T) {
 }
 
 func TestStoreCasCheckHook(t *testing.T) {
-	testHooks.disableCasCheck.Store(true)
-	defer testHooks.disableCasCheck.Store(false)
+	node.DisableCasCheck.Store(true)
+	defer node.DisableCasCheck.Store(false)
 	s := NewStore()
 	s.SetVersioned("k", []byte("v"), 0, 5)
 	// With the precondition gone, a wrong expectation still applies —

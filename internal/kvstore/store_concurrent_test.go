@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -23,65 +24,19 @@ func scanAll(t *testing.T, s *Store, opts ScanOptions) map[string]int {
 	}
 }
 
-// TestStoreConcurrentVersionedWrites hammers one store with concurrent
-// versioned writes, deletes, and scans, then verifies the bookkeeping the
-// hot path depends on: a full SCAN sees every surviving key exactly once,
-// and the O(1) Len/TombCount counters match a brute-force recount via
-// GetVersioned. Run under -race this is the sharded store's safety proof.
+// TestStoreConcurrentVersionedWrites hammers one store with every
+// mutator at once — versioned and CAS writes, guarded copies, versioned
+// and hard deletes — plus reads and scans, then verifies the bookkeeping
+// the hot path depends on: a full SCAN sees every surviving key exactly
+// once, and the O(1) Len/TombCount counters match a brute-force recount
+// via GetVersioned. The same mix then runs on a node logging to a data
+// dir, and a fresh node that replays the dir must rebuild the same
+// entries and counts. Run under -race this is the sharded store's safety
+// proof.
 func TestStoreConcurrentVersionedWrites(t *testing.T) {
 	s := NewStore()
-	const (
-		workers = 8
-		keys    = 256
-		opsEach = 1500
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rnd := uint64(w)*0x9e3779b9 + 1
-			for i := 0; i < opsEach; i++ {
-				rnd = rnd*6364136223846793005 + 1442695040888963407
-				k := fmt.Sprintf("ckey-%03d", rnd%keys)
-				// Versions unique per op so highest-version-wins has a
-				// total order to converge to.
-				ver := uint64(w*opsEach+i) + 1
-				switch rnd % 8 {
-				case 0:
-					s.DeleteVersioned(k, 0, ver)
-				case 1:
-					s.SetGuarded(k, []byte(k), uint32(rnd%4), ver)
-				case 2:
-					s.Get(k)
-				case 3:
-					s.Scan(0, 16, 0, 1<<16, ScanOptions{Tombs: true})
-				default:
-					s.SetVersioned(k, []byte(k), 0, ver)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Brute-force recount of live keys and tombstones.
-	live, tombs := 0, 0
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("ckey-%03d", i)
-		if _, _, _, tomb, ok := s.GetVersioned(k); ok {
-			if tomb {
-				tombs++
-			} else {
-				live++
-			}
-		}
-	}
-	if got := s.Len(); got != live {
-		t.Errorf("Len() = %d, recount says %d live keys", got, live)
-	}
-	if got := s.TombCount(); got != tombs {
-		t.Errorf("TombCount() = %d, recount says %d tombstones", got, tombs)
-	}
+	hammerStore(s)
+	live, tombs := checkStoreCounts(t, s)
 
 	// Quiescent SCAN must deliver every surviving key exactly once.
 	seen := scanAll(t, s, ScanOptions{})
@@ -100,6 +55,93 @@ func TestStoreConcurrentVersionedWrites(t *testing.T) {
 	if len(withTombs) != live+tombs {
 		t.Errorf("tombstone scan saw %d entries, want %d", len(withTombs), live+tombs)
 	}
+
+	dir := filepath.Join(t.TempDir(), "node0")
+	b := NewBackend(0)
+	if _, err := b.OpenData(dir, walTestOpts()); err != nil {
+		t.Fatal(err)
+	}
+	hammerStore(b.Store())
+	checkStoreCounts(t, b.Store())
+	want := storeFingerprint(b.Store())
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewBackend(0)
+	if _, err := r.OpenData(dir, walTestOpts()); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	checkStoreCounts(t, r.Store())
+	diffFingerprints(t, want, storeFingerprint(r.Store()))
+}
+
+const hammerKeys = 256
+
+// hammerStore runs 8 workers of seeded random ops over hammerKeys keys.
+func hammerStore(s *Store) {
+	const (
+		workers = 8
+		opsEach = 1500
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rnd := uint64(w)*0x9e3779b9 + 1
+			for i := 0; i < opsEach; i++ {
+				rnd = rnd*6364136223846793005 + 1442695040888963407
+				// Key and op come from disjoint high bits: an LCG's low
+				// bits repeat with short periods, which would pin each
+				// key to one op.
+				k := fmt.Sprintf("ckey-%03d", (rnd>>24)%hammerKeys)
+				// Versions unique per op so highest-version-wins has a
+				// total order to converge to.
+				ver := uint64(w*opsEach+i) + 1
+				switch (rnd >> 40) % 10 {
+				case 0:
+					s.DeleteVersioned(k, 0, ver)
+				case 1:
+					s.SetGuarded(k, []byte(k), uint32(rnd>>56)%4, ver)
+				case 2:
+					s.Get(k)
+				case 3:
+					s.Scan(0, 16, 0, 1<<16, ScanOptions{Tombs: true})
+				case 4:
+					_, _, cur, _, _ := s.GetVersioned(k)
+					s.CasVersioned(k, []byte(k), 0, cur, ver)
+				case 5:
+					s.Delete(k)
+				default:
+					s.SetVersioned(k, []byte(k), 0, ver)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// checkStoreCounts recounts live keys and tombstones key by key and
+// checks Len and TombCount against the recount, which it returns.
+func checkStoreCounts(t *testing.T, s *Store) (live, tombs int) {
+	t.Helper()
+	for i := 0; i < hammerKeys; i++ {
+		if _, _, _, tomb, ok := s.GetVersioned(fmt.Sprintf("ckey-%03d", i)); ok {
+			if tomb {
+				tombs++
+			} else {
+				live++
+			}
+		}
+	}
+	if got := s.Len(); got != live {
+		t.Errorf("Len() = %d, recount says %d live keys", got, live)
+	}
+	if got := s.TombCount(); got != tombs {
+		t.Errorf("TombCount() = %d, recount says %d tombstones", got, tombs)
+	}
+	return live, tombs
 }
 
 // TestStoreTombCounter walks every mutation that can create or destroy a

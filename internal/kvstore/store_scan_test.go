@@ -9,15 +9,15 @@ import (
 func TestStoreEpochTagging(t *testing.T) {
 	s := NewStore()
 	s.Set("a", []byte("v0"))
-	if ep, ok := s.GetEpoch("a"); !ok || ep != 0 {
+	if _, ep, _, _, ok := s.GetVersioned("a"); !ok || ep != 0 {
 		t.Fatalf("plain Set stored epoch %d (ok=%v), want 0", ep, ok)
 	}
-	s.SetEpoch("a", []byte("v2"), 2)
-	if ep, _ := s.GetEpoch("a"); ep != 2 {
-		t.Fatalf("SetEpoch stored epoch %d, want 2", ep)
+	s.SetVersioned("a", []byte("v2"), 2, 0)
+	if _, ep, _, _, _ := s.GetVersioned("a"); ep != 2 {
+		t.Fatalf("SetVersioned stored epoch %d, want 2", ep)
 	}
 	if v, _ := s.Get("a"); !bytes.Equal(v, []byte("v2")) {
-		t.Fatalf("value %q after SetEpoch", v)
+		t.Fatalf("value %q after SetVersioned", v)
 	}
 }
 
@@ -33,7 +33,7 @@ func TestStoreSetGuarded(t *testing.T) {
 	}
 	// Newer client write wins; a later guarded copy at the same epoch
 	// must not resurrect the migrated value.
-	s.SetEpoch("k", []byte("client"), 2)
+	s.SetVersioned("k", []byte("client"), 2, 0)
 	if s.SetGuarded("k", []byte("migrated"), 2, 0) {
 		t.Fatal("guarded write clobbered a client write at the same epoch")
 	}
@@ -41,11 +41,11 @@ func TestStoreSetGuarded(t *testing.T) {
 		t.Fatalf("value %q, want client write preserved", v)
 	}
 	// Older entry: guarded write upgrades it.
-	s.SetEpoch("old", []byte("v1"), 1)
+	s.SetVersioned("old", []byte("v1"), 1, 0)
 	if !s.SetGuarded("old", []byte("v1"), 3, 0) {
 		t.Fatal("guarded write over older epoch not applied")
 	}
-	if ep, _ := s.GetEpoch("old"); ep != 3 {
+	if _, ep, _, _, _ := s.GetVersioned("old"); ep != 3 {
 		t.Fatalf("epoch %d after guarded upgrade, want 3", ep)
 	}
 }
@@ -89,9 +89,9 @@ func TestStoreScanPagination(t *testing.T) {
 
 func TestStoreScanEpochFilter(t *testing.T) {
 	s := NewStore()
-	s.SetEpoch("old1", []byte("a"), 0)
-	s.SetEpoch("old2", []byte("b"), 1)
-	s.SetEpoch("new1", []byte("c"), 2)
+	s.SetVersioned("old1", []byte("a"), 0, 0)
+	s.SetVersioned("old2", []byte("b"), 1, 0)
+	s.SetVersioned("new1", []byte("c"), 2, 0)
 	entries, next := s.Scan(0, 100, 2, 0, ScanOptions{})
 	if next != 0 {
 		t.Fatalf("next cursor %d, want 0", next)

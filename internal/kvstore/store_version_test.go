@@ -24,7 +24,7 @@ func TestStoreVersionedSetOrdering(t *testing.T) {
 		t.Fatalf("GetVersioned = %q ver=%d tomb=%v ok=%v", v, ver, tomb, ok)
 	}
 	// Version 0 is the legacy unconditional path: always wins.
-	s.SetEpoch("k", []byte("legacy"), 0)
+	s.SetVersioned("k", []byte("legacy"), 0, 0)
 	if v, _ := s.Get("k"); !bytes.Equal(v, []byte("legacy")) {
 		t.Errorf("unversioned write did not apply: %q", v)
 	}

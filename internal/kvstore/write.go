@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"securecache/internal/node"
 	"securecache/internal/proto"
 	"securecache/internal/repair"
 )
@@ -136,7 +137,7 @@ func writeResponse(op proto.Op, ver uint64, err error) *proto.Response {
 	if err != nil {
 		return replyErr(op, err)
 	}
-	return reply(proto.StatusOK, binary.BigEndian.AppendUint64(nil, ver))
+	return node.Reply(proto.StatusOK, binary.BigEndian.AppendUint64(nil, ver))
 }
 
 // replyErr answers a failed frontend verb. A CAS conflict, a miss and a
@@ -147,13 +148,13 @@ func replyErr(op proto.Op, err error) *proto.Response {
 	var conflict *CasConflictError
 	switch {
 	case errors.As(err, &conflict):
-		return reply(proto.StatusConflict, proto.EncodeCasConflictPayload(nil, conflict.Cur, conflict.Partial))
+		return node.Reply(proto.StatusConflict, proto.EncodeCasConflictPayload(nil, conflict.Cur, conflict.Partial))
 	case errors.Is(err, ErrNotFound):
-		return reply(proto.StatusNotFound, nil)
+		return node.Reply(proto.StatusNotFound, nil)
 	case errors.Is(err, ErrBusy):
-		return reply(proto.StatusBusy, nil)
+		return node.Reply(proto.StatusBusy, nil)
 	default:
-		return errResponse("frontend", op, err)
+		return node.ErrResponse("frontend", op, err)
 	}
 }
 

@@ -1,4 +1,4 @@
-package kvstore
+package node
 
 import (
 	"encoding/json"
@@ -45,12 +45,12 @@ func StartAdmin(addr string, reg *metrics.Registry, info map[string]interface{})
 func StartAdminWith(addr string, reg *metrics.Registry, info map[string]interface{}, extra map[string]http.HandlerFunc) (*AdminServer, string, error) {
 	for _, builtin := range []string{"/healthz", "/metrics", "/info"} {
 		if _, clash := extra[builtin]; clash {
-			return nil, "", fmt.Errorf("kvstore: admin handler %s shadows a built-in", builtin)
+			return nil, "", fmt.Errorf("node: admin handler %s shadows a built-in", builtin)
 		}
 	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, "", fmt.Errorf("kvstore: admin listen: %w", err)
+		return nil, "", fmt.Errorf("node: admin listen: %w", err)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -89,7 +89,7 @@ func StartAdminWith(addr string, reg *metrics.Registry, info map[string]interfac
 	infoBlob, err := json.Marshal(info)
 	if err != nil {
 		l.Close()
-		return nil, "", fmt.Errorf("kvstore: admin info: %w", err)
+		return nil, "", fmt.Errorf("node: admin info: %w", err)
 	}
 	mux.HandleFunc("/info", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

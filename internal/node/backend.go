@@ -1,4 +1,4 @@
-package kvstore
+package node
 
 import (
 	"encoding/binary"
@@ -25,7 +25,7 @@ type Backend struct {
 	id      int
 	store   *Store
 	metrics *metrics.Registry
-	srv     *connServer // listener, connections and admission (server.go)
+	srv     *ConnServer // listener, connections and admission (server.go)
 
 	// Hot-path counters, resolved once: registry lookups (mutex + name
 	// hash) are too expensive to repeat on every request.
@@ -62,7 +62,7 @@ func NewBackendWithLimits(id int, lim overload.Limits) *Backend {
 		id:            id,
 		store:         NewStore(),
 		metrics:       reg,
-		srv:           newConnServer(fmt.Sprintf("backend %d", id), reg, lim),
+		srv:           NewConnServer(fmt.Sprintf("backend %d", id), reg, lim),
 		requestsTotal: reg.Counter("requests_total"),
 		getsTotal:     reg.Counter("gets_total"),
 		hitsTotal:     reg.Counter("hits_total"),
@@ -75,10 +75,10 @@ func NewBackendWithLimits(id int, lim overload.Limits) *Backend {
 	}
 	// Every single-key read is a pure-memory store read, so the full
 	// handler doubles as the fast path.
-	b.srv.handle = b.handle
-	b.srv.exempt = ops(proto.OpPing, proto.OpStats)
-	b.srv.fast = b.handle
-	b.srv.fastOps = ops(proto.OpGet, proto.OpGetV)
+	b.srv.Handle = b.handle
+	b.srv.Exempt = Ops(proto.OpPing, proto.OpStats)
+	b.srv.Fast = b.handle
+	b.srv.FastOps = Ops(proto.OpGet, proto.OpGetV)
 	return b
 }
 
@@ -92,15 +92,20 @@ func (b *Backend) Store() *Store { return b.store }
 // SetIdleTimeout bounds how long a connection may sit between requests
 // before the backend drops it (0 = forever, the default). Clients with a
 // pooled conn that gets dropped recover via their reused-conn retry.
-func (b *Backend) SetIdleTimeout(d time.Duration) { b.srv.idleTimeout.Store(int64(d)) }
+func (b *Backend) SetIdleTimeout(d time.Duration) { b.srv.SetIdleTimeout(d) }
 
 // Serve accepts connections on l until Close. It always returns a non-nil
 // error (net.ErrClosed after a clean Close).
-func (b *Backend) Serve(l net.Listener) error { return b.srv.serve(l) }
+func (b *Backend) Serve(l net.Listener) error { return b.srv.Serve(l) }
+
+// Server exposes the node's connection server. Tests use it to wrap
+// Handle, count open conns, or stop serving without closing the log —
+// what a kill -9 leaves behind.
+func (b *Backend) Server() *ConnServer { return b.srv }
 
 // handle serves one request. Single-key read payloads are copied
 // straight into scratch (Store.AppendValue), so a GET costs zero
-// allocations instead of one value copy; see connServer for the rule
+// allocations instead of one value copy; see ConnServer for the rule
 // that makes returning a response aliasing it safe.
 func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 	b.requestsTotal.Inc()
@@ -110,10 +115,10 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		buf, _, tomb, ok := b.store.AppendValue((*scratch)[:0], req.Key)
 		*scratch = buf
 		if !ok || tomb {
-			return reply(proto.StatusNotFound, nil)
+			return Reply(proto.StatusNotFound, nil)
 		}
 		b.hitsTotal.Inc()
-		return reply(proto.StatusOK, buf)
+		return Reply(proto.StatusOK, buf)
 	case proto.OpGetV:
 		b.getsTotal.Inc()
 		// Reserve the 8-byte version header, copy the value in under the
@@ -122,21 +127,21 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		buf, ver, tomb, ok := b.store.AppendValue(buf, req.Key)
 		*scratch = buf
 		if !ok {
-			return reply(proto.StatusNotFound, nil)
+			return Reply(proto.StatusNotFound, nil)
 		}
 		binary.BigEndian.PutUint64(buf, ver)
 		if tomb {
 			// A tombstone is an authoritative miss: NotFound, but the
 			// version rides along so the frontend can tell "never heard
 			// of it" from "deleted at version v".
-			return reply(proto.StatusNotFound, buf[:8])
+			return Reply(proto.StatusNotFound, buf[:8])
 		}
 		if len(buf)-8 > proto.MaxValueLen {
-			return errResponse(b.srv.role, req.Op,
+			return ErrResponse(b.srv.role, req.Op,
 				fmt.Errorf("stored value exceeds %d bytes", proto.MaxValueLen))
 		}
 		b.hitsTotal.Inc()
-		return reply(proto.StatusOK, buf)
+		return Reply(proto.StatusOK, buf)
 	case proto.OpSet:
 		b.setsTotal.Inc()
 		if req.EpochGuard {
@@ -150,19 +155,19 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 			// still StatusOK — the stored state is at least as new.
 			b.store.SetVersioned(req.Key, req.Value, req.Epoch, req.Ver)
 		}
-		return reply(proto.StatusOK, nil)
+		return Reply(proto.StatusOK, nil)
 	case proto.OpDel:
 		b.delsTotal.Inc()
 		if req.Ver != 0 {
 			// Versioned delete writes a tombstone (even over an absent
 			// key — the replica that DID have it may be down right now).
 			b.store.DeleteVersioned(req.Key, req.Epoch, req.Ver)
-			return reply(proto.StatusOK, nil)
+			return Reply(proto.StatusOK, nil)
 		}
 		if !b.store.Delete(req.Key) {
-			return reply(proto.StatusNotFound, nil)
+			return Reply(proto.StatusNotFound, nil)
 		}
-		return reply(proto.StatusOK, nil)
+		return Reply(proto.StatusOK, nil)
 	case proto.OpCas:
 		b.casTotal.Inc()
 		// Single-replica compare-and-swap under the shard lock. The
@@ -174,9 +179,9 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		*scratch = buf
 		if !applied {
 			b.casConflicts.Inc()
-			return reply(proto.StatusConflict, buf)
+			return Reply(proto.StatusConflict, buf)
 		}
-		return reply(proto.StatusOK, buf)
+		return Reply(proto.StatusOK, buf)
 	case proto.OpMGet:
 		b.mgetsTotal.Inc()
 		b.getsTotal.Add(uint64(len(req.Keys)))
@@ -190,44 +195,44 @@ func (b *Backend) handle(req *proto.Request, scratch *[]byte) *proto.Response {
 		}
 		payload, err := proto.EncodeMGetPayload(results)
 		if err != nil {
-			return errResponse(b.srv.role, req.Op, err)
+			return ErrResponse(b.srv.role, req.Op, err)
 		}
-		return reply(proto.StatusOK, payload)
+		return Reply(proto.StatusOK, payload)
 	case proto.OpScan:
 		b.scansTotal.Inc()
 		entries, next := b.store.Scan(req.ScanCursor, int(req.ScanLimit), req.Epoch, scanPageBytes,
 			ScanOptions{Tombs: req.ScanTombs, Digest: req.ScanDigest})
 		payload, err := proto.EncodeScanPayload(next, entries)
 		if err != nil {
-			return errResponse(b.srv.role, req.Op, err)
+			return ErrResponse(b.srv.role, req.Op, err)
 		}
-		return reply(proto.StatusOK, payload)
+		return Reply(proto.StatusOK, payload)
 	case proto.OpStats:
 		blob, err := b.metrics.Snapshot()
 		if err != nil {
-			return errResponse(b.srv.role, req.Op, fmt.Errorf("snapshot: %w", err))
+			return ErrResponse(b.srv.role, req.Op, fmt.Errorf("snapshot: %w", err))
 		}
-		return reply(proto.StatusOK, blob)
+		return Reply(proto.StatusOK, blob)
 	case proto.OpPing:
-		return reply(proto.StatusOK, nil)
+		return Reply(proto.StatusOK, nil)
 	default:
-		return errResponse(b.srv.role, req.Op, errors.New("unsupported op"))
+		return ErrResponse(b.srv.role, req.Op, errors.New("unsupported op"))
 	}
 }
 
-// errResponse logs the detailed error server-side and puts only a
+// ErrResponse logs the detailed error server-side and puts only a
 // sanitized message on the wire: internal errors carry backend
 // addresses, dial targets, and wrapped OS error strings, none of which
 // belong in the hands of an (adversarial) wire client.
-func errResponse(role string, op proto.Op, err error) *proto.Response {
-	log.Printf("kvstore: %s: %s failed: %v", role, op, err)
-	return reply(proto.StatusError, []byte(fmt.Sprintf("%s failed: internal error", op)))
+func ErrResponse(role string, op proto.Op, err error) *proto.Response {
+	log.Printf("node: %s: %s failed: %v", role, op, err)
+	return Reply(proto.StatusError, []byte(fmt.Sprintf("%s failed: internal error", op)))
 }
 
 // Close stops accepting, closes all connections, and waits for handler
 // goroutines to drain. Safe to call more than once.
 func (b *Backend) Close() error {
-	first, err := b.srv.close()
+	first, err := b.srv.Close()
 	if !first {
 		return nil
 	}
@@ -252,7 +257,7 @@ func StartBackend(id int, addr string) (*Backend, string, error) {
 // control (see NewBackendWithLimits).
 func StartBackendWithLimits(id int, addr string, lim overload.Limits) (*Backend, string, error) {
 	b := NewBackendWithLimits(id, lim)
-	bound, err := b.srv.listenAndServe(addr)
+	bound, err := b.srv.ListenAndServe(addr)
 	if err != nil {
 		return nil, "", err
 	}

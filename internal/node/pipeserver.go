@@ -1,12 +1,12 @@
-package kvstore
+package node
 
-// The pipeline half of connServer: what a connection's read loop
+// The pipeline half of ConnServer: what a connection's read loop
 // (serveConn) feeds. Every conn has one from accept, whether its peer
 // keeps one request in flight or a window of them.
 //
 //	read loop ─┬─▶ fast op: answered in place ────────┬─▶ flushCh ──▶ flusher
 //	           └─▶ other op ──▶ reqCh ──▶ handler pool ─┘
-//	                                    (≤ pipeQueue)
+//	                                    (≤ PipeQueue)
 //
 // A hit never leaves the read loop, so it costs one goroutine hand-off,
 // to the flusher. Everything else goes to the conn's handler pool, which
@@ -27,10 +27,10 @@ import (
 	"securecache/internal/proto"
 )
 
-// pipeQueue bounds a conn's handlers and the frames waiting
-// for its flusher: a full 64-deep client window drains as one read
-// syscall in, one writev out.
-const pipeQueue = 64
+// PipeQueue bounds a conn's handlers and the frames waiting for its
+// flusher: a full 64-deep client window drains as one read syscall in,
+// one writev out.
+const PipeQueue = 64
 
 // connPipe is one connection's handler pool and flusher.
 type connPipe struct {
@@ -42,10 +42,10 @@ type connPipe struct {
 }
 
 // startPipe starts a connection's flusher; handlers start on demand.
-func (s *connServer) startPipe(conn net.Conn) *connPipe {
+func (s *ConnServer) startPipe(conn net.Conn) *connPipe {
 	p := &connPipe{
 		reqCh:   make(chan *proto.Request),
-		flushCh: make(chan proto.Frame, pipeQueue),
+		flushCh: make(chan proto.Frame, PipeQueue),
 	}
 	p.flusher.Add(1)
 	go func() {
@@ -57,11 +57,11 @@ func (s *connServer) startPipe(conn net.Conn) *connPipe {
 
 // dispatch answers req on the read loop if fast can. Otherwise an idle
 // handler takes it; failing that, a new handler is started while the
-// pool is below pipeQueue, and the read loop waits for one to free up
+// pool is below PipeQueue, and the read loop waits for one to free up
 // once it is not.
-func (p *connPipe) dispatch(s *connServer, req *proto.Request, scratch *[]byte) {
-	if s.fastOps.has(req.Op) {
-		if resp := s.admit(req, scratch, s.fast); resp != nil {
+func (p *connPipe) dispatch(s *ConnServer, req *proto.Request, scratch *[]byte) {
+	if s.FastOps.has(req.Op) {
+		if resp := s.admit(req, scratch, s.Fast); resp != nil {
 			p.flushCh <- s.encode(req, resp)
 			return
 		}
@@ -69,7 +69,7 @@ func (p *connPipe) dispatch(s *connServer, req *proto.Request, scratch *[]byte) 
 	select {
 	case p.reqCh <- req:
 	default:
-		if p.pool == pipeQueue {
+		if p.pool == PipeQueue {
 			p.reqCh <- req
 		} else {
 			p.pool++
@@ -84,11 +84,11 @@ func (p *connPipe) dispatch(s *connServer, req *proto.Request, scratch *[]byte) 
 // grew on its first request serves the rest. The gate slot is released
 // before the flush (see admit): holding it across the flush would only
 // couple admission to an unrelated conn's write stall.
-func (p *connPipe) handle(s *connServer, req *proto.Request) {
+func (p *connPipe) handle(s *ConnServer, req *proto.Request) {
 	defer p.running.Done()
 	scratch := make([]byte, 0, 512)
 	for ok := true; ok; req, ok = <-p.reqCh {
-		p.flushCh <- s.encode(req, s.admit(req, &scratch, s.handle))
+		p.flushCh <- s.encode(req, s.admit(req, &scratch, s.Handle))
 	}
 }
 
@@ -107,8 +107,8 @@ func (p *connPipe) drain() {
 // write error it keeps draining (releasing frames) so handlers never
 // block on a dead connection's flush channel.
 func pipeFlush(conn net.Conn, flushCh <-chan proto.Frame) {
-	bufs := make([][]byte, 0, pipeQueue)
-	frames := make([]proto.Frame, 0, pipeQueue)
+	bufs := make([][]byte, 0, PipeQueue)
+	frames := make([]proto.Frame, 0, PipeQueue)
 	var nb net.Buffers // escapes via WriteTo: one allocation per conn (see writeLoop)
 	dead := false
 	for first := range flushCh {

@@ -1,4 +1,4 @@
-package kvstore
+package node
 
 import (
 	"bufio"
@@ -16,28 +16,29 @@ import (
 	"securecache/internal/proto"
 )
 
-// opSet is a small set of wire ops (every valid proto.Op is below 32).
-type opSet uint32
+// OpSet is a small set of wire ops (every valid proto.Op is below 32).
+type OpSet uint32
 
-func ops(list ...proto.Op) opSet {
-	var s opSet
+// Ops returns the set of the listed ops.
+func Ops(list ...proto.Op) OpSet {
+	var s OpSet
 	for _, op := range list {
 		s |= 1 << op
 	}
 	return s
 }
 
-func (s opSet) has(op proto.Op) bool { return s&(1<<op) != 0 }
+func (s OpSet) has(op proto.Op) bool { return s&(1<<op) != 0 }
 
-// handlerFunc answers one request; see connServer for the scratch rule.
-type handlerFunc func(req *proto.Request, scratch *[]byte) *proto.Response
+// HandlerFunc answers one request; see ConnServer for the scratch rule.
+type HandlerFunc func(req *proto.Request, scratch *[]byte) *proto.Response
 
-// connServer is the one connection server both node roles run on: it
-// owns the listener, the live connections, admission control and the
-// per-connection read loop. A Backend or Frontend is only its handler —
-// the fields under "handler contract", set once before serve. A handler
-// builds its response from proto.AcquireResponse: encode releases every
-// response it frames back to that pool.
+// ConnServer is the one connection server both serving roles run on:
+// it owns the listener, the live connections, admission control and the
+// per-connection read loop. A Backend or the frontend is only its
+// handler — the exported fields, set once before Serve. A handler
+// builds its response with Reply (from proto.AcquireResponse): encode
+// releases every response it frames back to that pool.
 //
 // Scratch: handle and fast receive a reusable payload buffer and may
 // return a response that aliases it. There is one buffer per goroutine
@@ -45,23 +46,24 @@ type handlerFunc func(req *proto.Request, scratch *[]byte) *proto.Response
 // of its handlers — and that goroutine encodes the response into a frame
 // of its own before it dispatches again, which is the only thing that
 // makes the aliasing safe.
-type connServer struct {
+type ConnServer struct {
 	role string // log prefix: "backend N" / "frontend"
 
-	// Handler contract. handle serves any request and may block on I/O;
-	// it is called concurrently. exempt ops skip admission: probes,
+	// Handler contract. Handle serves any request and may block on I/O;
+	// it is called concurrently. Exempt ops skip admission: probes,
 	// monitoring and the membership view must keep answering on a
-	// saturated node — that is exactly when they matter. fast answers a
-	// fastOps request from memory without blocking, or returns nil for
+	// saturated node — that is exactly when they matter. Fast answers a
+	// FastOps request from memory without blocking, or returns nil for
 	// "needs the full path" having counted nothing, so a request that
-	// falls through is still counted once (by handle). load, when set,
+	// falls through is still counted once (by Handle). Load, when set,
 	// is the tier in-flight gauge: raised around every admitted call and
-	// stamped on every response as TierClient's two-choice load hint.
-	handle  handlerFunc
-	fast    handlerFunc
-	exempt  opSet
-	fastOps opSet
-	load    *atomic.Int64
+	// stamped on every response as the tier client's two-choice load
+	// hint.
+	Handle  HandlerFunc
+	Fast    HandlerFunc
+	Exempt  OpSet
+	FastOps OpSet
+	Load    *atomic.Int64
 
 	gate        *overload.Gate   // nil = unlimited
 	shedTotal   *metrics.Counter // requests answered StatusBusy
@@ -75,8 +77,10 @@ type connServer struct {
 	wg       sync.WaitGroup
 }
 
-func newConnServer(role string, reg *metrics.Registry, lim overload.Limits) *connServer {
-	return &connServer{
+// NewConnServer returns a server that logs as role and counts sheds in
+// reg, under the admission limits lim (zero = unlimited).
+func NewConnServer(role string, reg *metrics.Registry, lim overload.Limits) *ConnServer {
+	return &ConnServer{
 		role:      role,
 		gate:      overload.NewGate(lim),
 		shedTotal: reg.Counter("shed_total"),
@@ -85,28 +89,33 @@ func newConnServer(role string, reg *metrics.Registry, lim overload.Limits) *con
 	}
 }
 
-// listenAndServe binds addr and serves it on a background goroutine,
+// SetIdleTimeout bounds how long a connection may sit between requests
+// before the server drops it (0 = forever). Takes effect on each
+// connection's next read.
+func (s *ConnServer) SetIdleTimeout(d time.Duration) { s.idleTimeout.Store(int64(d)) }
+
+// ListenAndServe binds addr and serves it on a background goroutine,
 // returning the bound address.
-func (s *connServer) listenAndServe(addr string) (string, error) {
+func (s *ConnServer) ListenAndServe(addr string) (string, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", fmt.Errorf("kvstore: %s listen: %w", s.role, err)
+		return "", fmt.Errorf("node: %s listen: %w", s.role, err)
 	}
 	go func() {
-		if err := s.serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
-			log.Printf("kvstore: %s serve: %v", s.role, err)
+		if err := s.Serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
+			log.Printf("node: %s serve: %v", s.role, err)
 		}
 	}()
 	return l.Addr().String(), nil
 }
 
-// serve accepts connections on l until close. It always returns a
-// non-nil error (net.ErrClosed after a clean close).
-func (s *connServer) serve(l net.Listener) error {
+// Serve accepts connections on l until Close. It always returns a
+// non-nil error (net.ErrClosed after a clean Close).
+func (s *ConnServer) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		// close raced ahead of this goroutine and never saw l: close it
+		// Close raced ahead of this goroutine and never saw l: close it
 		// here or the port stays bound with nobody accepting (a crashed
 		// node could then never restart on its own address).
 		l.Close()
@@ -144,9 +153,9 @@ func (s *connServer) serve(l net.Listener) error {
 // a correlation ID, and every request goes through the conn's pipeline
 // (pipeserver.go), which a serial peer and a pipelining one share: fast
 // ops are answered here, everything else runs on the conn's handlers, up
-// to pipeQueue at once. An uncorrelated frame is malformed, so it drops
+// to PipeQueue at once. An uncorrelated frame is malformed, so it drops
 // the conn like any other undecodable frame.
-func (s *connServer) serveConn(conn net.Conn) {
+func (s *ConnServer) serveConn(conn net.Conn) {
 	pipe := s.startPipe(conn)
 	defer func() {
 		pipe.drain()
@@ -174,7 +183,7 @@ func (s *connServer) serveConn(conn net.Conn) {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				// Malformed input or mid-frame disconnect: drop the
 				// connection (the protocol has no resync point).
-				log.Printf("kvstore: %s: read: %v", s.role, err)
+				log.Printf("node: %s: read: %v", s.role, err)
 			}
 			return
 		}
@@ -182,33 +191,33 @@ func (s *connServer) serveConn(conn net.Conn) {
 	}
 }
 
-// admit runs one request through admission control and fn (handle or
-// fast): a saturated node answers StatusBusy, counted in shed_total,
+// admit runs one request through admission control and fn (Handle or
+// Fast): a saturated node answers StatusBusy, counted in shed_total,
 // without calling fn. An admitted request holds its in-flight slot only
 // while fn runs: the bounded flush channel, not the slot, is what holds
 // back a peer that drains its responses slowly. The load hint is read
 // after the in-flight decrement so a client's own completed request is
 // not still counted.
-func (s *connServer) admit(req *proto.Request, scratch *[]byte, fn handlerFunc) *proto.Response {
+func (s *ConnServer) admit(req *proto.Request, scratch *[]byte, fn HandlerFunc) *proto.Response {
 	var resp *proto.Response
 	switch {
-	case s.exempt.has(req.Op):
+	case s.Exempt.has(req.Op):
 		resp = fn(req, scratch)
 	case s.gate.Admit():
-		if s.load != nil {
-			s.load.Add(1)
+		if s.Load != nil {
+			s.Load.Add(1)
 		}
 		resp = fn(req, scratch)
-		if s.load != nil {
-			s.load.Add(-1)
+		if s.Load != nil {
+			s.Load.Add(-1)
 		}
 		s.gate.Release()
 	default:
 		s.shedTotal.Inc()
-		resp = reply(proto.StatusBusy, nil)
+		resp = Reply(proto.StatusBusy, nil)
 	}
-	if resp != nil && s.load != nil {
-		if n := s.load.Load(); n > 0 {
+	if resp != nil && s.Load != nil {
+		if n := s.Load.Load(); n > 0 {
 			resp.Load = uint32(n)
 		}
 		resp.LoadHinted = true
@@ -216,8 +225,8 @@ func (s *connServer) admit(req *proto.Request, scratch *[]byte, fn handlerFunc) 
 	return resp
 }
 
-// reply builds a handler's response in a pooled struct (see connServer).
-func reply(status proto.Status, payload []byte) *proto.Response {
+// Reply builds a handler's response in a pooled struct (see ConnServer).
+func Reply(status proto.Status, payload []byte) *proto.Response {
 	resp := proto.AcquireResponse()
 	resp.Status, resp.Payload = status, payload
 	return resp
@@ -228,11 +237,11 @@ func reply(status proto.Status, payload []byte) *proto.Response {
 // slices they referenced live on unaffected. An unencodable response
 // (an oversized payload) is replaced by a sanitized error, so the
 // request is still answered and the client's window slot frees.
-func (s *connServer) encode(req *proto.Request, resp *proto.Response) proto.Frame {
+func (s *ConnServer) encode(req *proto.Request, resp *proto.Response) proto.Frame {
 	resp.Corr = req.Corr
 	frame, err := proto.NewResponseFrame(resp)
 	if err != nil {
-		log.Printf("kvstore: %s: encoding response: %v", s.role, err)
+		log.Printf("node: %s: encoding response: %v", s.role, err)
 		// A fixed status and a short payload always encode.
 		frame, _ = proto.NewResponseFrame(&proto.Response{
 			Status:  proto.StatusError,
@@ -245,10 +254,10 @@ func (s *connServer) encode(req *proto.Request, resp *proto.Response) proto.Fram
 	return frame
 }
 
-// close stops accepting, closes every connection and waits for the read
+// Close stops accepting, closes every connection and waits for the read
 // loops (and their pipelines) to drain. first is false, and nothing is
 // done, on any call after the first.
-func (s *connServer) close() (first bool, err error) {
+func (s *ConnServer) Close() (first bool, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -265,4 +274,16 @@ func (s *connServer) close() (first bool, err error) {
 	}
 	s.wg.Wait()
 	return true, err
+}
+
+// Conns returns the number of connections the server holds open.
+func (s *ConnServer) Conns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -1,14 +1,11 @@
-// Package kvstore is a real, networked implementation of the paper's
-// architecture: back-end nodes storing a randomly partitioned key space
-// with replication, behind a front-end server that owns a small
-// popularity-based cache and the secret partition seed.
-//
-// The simulation packages validate the theory against the abstract model;
-// kvstore demonstrates the same provisioning rule end-to-end over TCP —
-// an adversarial load generator (cmd/kvload) really does saturate one
-// back-end node when the front-end cache is under-provisioned, and really
-// cannot once the cache reaches c* entries.
-package kvstore
+// Package node is one back-end node of the paper's architecture: a
+// Store holding its slice of the randomly partitioned, replicated key
+// space, behind a Backend that answers the wire protocol on a
+// ConnServer, with an optional write-ahead log for durability. A node
+// knows nothing of the frontend's cache, its secret partition seed or
+// the attack: it stores what it is sent and answers reads. The frontend
+// (internal/kvstore) mounts its own handler on the same ConnServer.
+package node
 
 import (
 	"sort"
@@ -19,6 +16,15 @@ import (
 	"securecache/internal/proto"
 	"securecache/internal/wal"
 )
+
+// keyIDSeed converts wire keys to the uint64 IDs the frontend's
+// partitioner and cache use, and that order a Scan. It is a fixed public
+// constant: the security of the scheme rests on the partition seed, not
+// on this mapping.
+const keyIDSeed = 0xfeed5eed
+
+// KeyID maps a wire key to its 64-bit ID.
+func KeyID(key string) uint64 { return hashing.Hash64(key, keyIDSeed) }
 
 // storeShards is the number of independently locked shards in a Store.
 // 16 shards keep lock contention negligible at the request rates the
@@ -59,9 +65,9 @@ type entry struct {
 type storeShard struct {
 	mu sync.RWMutex
 	m  map[string]entry
-	// tombs counts the tombstoned entries in m, maintained by every
-	// mutation, so Len and TombCount are O(shards) instead of a full
-	// walk of the keyspace under the locks.
+	// tombs counts the tombstoned entries in m, maintained by put and
+	// drop, so Len and TombCount are O(shards) instead of a full walk of
+	// the keyspace under the locks.
 	tombs int
 }
 
@@ -108,25 +114,10 @@ func (s *Store) GetVersioned(key string) (value []byte, epoch uint32, ver uint64
 	return append([]byte(nil), e.val...), e.epoch, e.ver, false, true
 }
 
-// GetEpoch returns the epoch a key was stored under.
-func (s *Store) GetEpoch(key string) (uint32, bool) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	e, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return e.epoch, ok
-}
-
-// Set stores a copy of value under key at epoch 0 (pre-rotation data).
+// Set stores a copy of value under key at epoch 0, unversioned: the
+// write always applies (seed semantics).
 func (s *Store) Set(key string, value []byte) {
-	s.SetEpoch(key, value, 0)
-}
-
-// SetEpoch stores a copy of value under key, stamped with epoch. The
-// write is unconditional: a client write always wins over whatever was
-// there (seed semantics, version 0).
-func (s *Store) SetEpoch(key string, value []byte, epoch uint32) {
-	s.SetVersioned(key, value, epoch, 0)
+	s.SetVersioned(key, value, 0, 0)
 }
 
 // SetVersioned stores a copy of value under key, stamped with epoch and
@@ -146,11 +137,7 @@ func (s *Store) SetVersioned(key string, value []byte, epoch uint32, ver uint64)
 	if ver != 0 && ok && cur.ver >= ver {
 		return false
 	}
-	s.logAppend(key, cp, epoch, ver, false)
-	if ok && cur.tomb {
-		sh.tombs--
-	}
-	sh.m[key] = entry{val: cp, epoch: epoch, ver: ver}
+	sh.put(s.log.Load(), key, cur, entry{val: cp, epoch: epoch, ver: ver})
 	return true
 }
 
@@ -182,7 +169,7 @@ func (s *Store) CasVersioned(key string, value []byte, epoch uint32, expect, new
 	if ok && !cur.tomb && newVer != 0 && cur.ver == newVer {
 		return true, newVer // duplicate delivery of an applied swap
 	}
-	if live != expect && !testHooks.disableCasCheck.Load() {
+	if live != expect && !DisableCasCheck.Load() {
 		return false, live
 	}
 	if newVer == 0 {
@@ -194,20 +181,23 @@ func (s *Store) CasVersioned(key string, value []byte, epoch uint32, expect, new
 		// overwritten by a swap stamped older than it.
 		return false, live
 	}
-	s.logAppend(key, cp, epoch, newVer, false)
-	if ok && cur.tomb {
-		sh.tombs--
-	}
-	sh.m[key] = entry{val: cp, epoch: epoch, ver: newVer}
+	sh.put(s.log.Load(), key, cur, entry{val: cp, epoch: epoch, ver: newVer})
 	return true, newVer
 }
+
+// DisableCasCheck is a test-only mutation switch: set, CasVersioned
+// skips its version precondition and every CAS applies, so two CAS ops
+// expecting the same version can both report success. The consistency
+// suite flips it to prove its checker catches the lost update.
+// Production code never sets it.
+var DisableCasCheck atomic.Bool
 
 // SetGuarded applies a migration copy: the value is stored only if the
 // key is absent or its current entry carries a strictly older epoch.
 // It reports whether the write was applied. The check-and-write is
-// atomic under the shard lock, so a concurrent client SetEpoch at the
-// new epoch can never be overwritten by migrated (stale) data. The
-// copied entry keeps its origin's logical version ver.
+// atomic under the shard lock, so a concurrent client write at the new
+// epoch can never be overwritten by migrated (stale) data. The copied
+// entry keeps its origin's logical version ver.
 func (s *Store) SetGuarded(key string, value []byte, epoch uint32, ver uint64) bool {
 	sh := s.shard(key)
 	cp := append([]byte(nil), value...)
@@ -217,33 +207,23 @@ func (s *Store) SetGuarded(key string, value []byte, epoch uint32, ver uint64) b
 	if ok && cur.epoch >= epoch {
 		return false
 	}
-	s.logAppend(key, cp, epoch, ver, false)
-	if ok && cur.tomb {
-		sh.tombs--
-	}
-	sh.m[key] = entry{val: cp, epoch: epoch, ver: ver}
+	sh.put(s.log.Load(), key, cur, entry{val: cp, epoch: epoch, ver: ver})
 	return true
 }
 
 // Delete removes key outright, reporting whether it existed (including
 // as a tombstone). This is the unversioned hard delete: rotation purges
 // and tombstone GC use it; replicated client deletes should use
-// DeleteVersioned so the removal survives repair.
+// DeleteVersioned so the removal survives repair. Deleting an absent key
+// logs nothing — there is no state change to make durable.
 func (s *Store) Delete(key string) bool {
 	sh := s.shard(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	cur, ok := sh.m[key]
 	if ok {
-		// An unversioned tombstone in the log is the hard-delete record:
-		// replay drops the key entirely. Deleting an absent key logs
-		// nothing — there is no state change to make durable.
-		s.logAppend(key, nil, cur.epoch, 0, true)
+		sh.drop(s.log.Load(), key, cur)
 	}
-	if ok && cur.tomb {
-		sh.tombs--
-	}
-	delete(sh.m, key)
-	sh.mu.Unlock()
 	return ok
 }
 
@@ -261,22 +241,45 @@ func (s *Store) DeleteVersioned(key string, epoch uint32, ver uint64) bool {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if cur, ok := sh.m[key]; ok {
-		if cur.ver > ver {
-			return false
-		}
-		if cur.ver == ver {
-			return cur.tomb
-		}
-		if !cur.tomb {
-			sh.tombs++
-		}
-	} else {
+	cur, ok := sh.m[key]
+	if ok && cur.ver > ver {
+		return false
+	}
+	if ok && cur.ver == ver {
+		return cur.tomb
+	}
+	sh.put(s.log.Load(), key, cur, entry{epoch: epoch, ver: ver, tomb: true})
+	return true
+}
+
+// put and drop are a shard's only mutators: every write path runs its
+// guard under sh.mu, then hands the result here, and only these two
+// touch sh.m, sh.tombs and the log. The log append comes first, so the
+// log holds exactly the mutations that won their guard race, in the
+// order they won it. l is nil when the store runs memory-only, during
+// replay, and for the unlogged tombstone sweep.
+
+// put installs e over cur, key's current entry (the zero entry when
+// absent).
+func (sh *storeShard) put(l *wal.Log, key string, cur, e entry) {
+	logAppend(l, key, e)
+	if cur.tomb {
+		sh.tombs--
+	}
+	if e.tomb {
 		sh.tombs++
 	}
-	s.logAppend(key, nil, epoch, ver, true)
-	sh.m[key] = entry{epoch: epoch, ver: ver, tomb: true}
-	return true
+	sh.m[key] = e
+}
+
+// drop removes key, whose current entry is cur. Its log record is an
+// unversioned tombstone: replay drops the key entirely.
+func (sh *storeShard) drop(l *wal.Log, key string, cur entry) {
+	logAppend(l, key, entry{epoch: cur.epoch, tomb: true})
+	if cur.tomb {
+		sh.tombs--
+	}
+	delete(sh.m, key)
 }
 
 // SweepTombstones removes tombstones with versions strictly below
@@ -294,8 +297,7 @@ func (s *Store) SweepTombstones(before uint64) int {
 		sh.mu.Lock()
 		for k, e := range sh.m {
 			if e.tomb && e.ver < before {
-				delete(sh.m, k)
-				sh.tombs--
+				sh.drop(nil, k, e)
 				swept++
 			}
 		}

@@ -1,4 +1,4 @@
-package kvstore
+package node
 
 import (
 	"errors"
@@ -26,28 +26,28 @@ func (s *Store) AttachWAL(l *wal.Log) {
 	s.log.Store(l)
 }
 
-// logAppend appends one applied mutation to the attached log, if any.
-// Called under the owning shard's lock, after guard checks: the log
+// logAppend appends one applied mutation to l, if any. Called by put
+// and drop under the owning shard's lock, after guard checks: the log
 // receives exactly the mutations that won, in the order they won. An
 // append error does not fail the client write — the node stays
 // available and the failure is visible in wal.Stats.AppendErrors — but
 // it is logged, because it means the durability contract is degraded
 // until the disk recovers.
-func (s *Store) logAppend(key string, value []byte, epoch uint32, ver uint64, tomb bool) {
-	l := s.log.Load()
+func logAppend(l *wal.Log, key string, e entry) {
 	if l == nil {
 		return
 	}
-	if err := l.Append(key, value, epoch, ver, tomb); err != nil {
-		log.Printf("kvstore: wal append %q: %v", key, err)
+	if err := l.Append(key, e.val, e.epoch, e.ver, e.tomb); err != nil {
+		log.Printf("node: wal append %q: %v", key, err)
 	}
 }
 
 // applyReplayed installs one replayed WAL record. Replay delivers the
-// newest record per key exactly once, so this is a plain install — the
-// guard logic already ran before the record was logged. Keys are
-// re-checked against the wire limits: no client could have written a
-// key outside them, so such a record marks the segment as corrupt.
+// newest record per key exactly once, so this is a plain install with
+// logging off — the guard logic already ran before the record was
+// logged. Keys are re-checked against the wire limits: no client could
+// have written a key outside them, so such a record marks the segment as
+// corrupt.
 func (s *Store) applyReplayed(rec wal.Record) error {
 	if len(rec.Key) == 0 || len(rec.Key) > proto.MaxKeyLen {
 		return fmt.Errorf("replayed key length %d outside [1, %d]", len(rec.Key), proto.MaxKeyLen)
@@ -55,18 +55,14 @@ func (s *Store) applyReplayed(rec wal.Record) error {
 	if len(rec.Value) > proto.MaxValueLen {
 		return fmt.Errorf("replayed value length %d exceeds %d", len(rec.Value), proto.MaxValueLen)
 	}
+	e := entry{epoch: rec.Epoch, ver: rec.Ver, tomb: rec.Tomb}
+	if !rec.Tomb {
+		e.val = append([]byte(nil), rec.Value...)
+	}
 	sh := s.shard(rec.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if cur, ok := sh.m[rec.Key]; ok && cur.tomb {
-		sh.tombs--
-	}
-	if rec.Tomb {
-		sh.tombs++
-		sh.m[rec.Key] = entry{epoch: rec.Epoch, ver: rec.Ver, tomb: true}
-		return nil
-	}
-	sh.m[rec.Key] = entry{val: append([]byte(nil), rec.Value...), epoch: rec.Epoch, ver: rec.Ver}
+	sh.put(nil, rec.Key, sh.m[rec.Key], e)
 	return nil
 }
 
@@ -75,8 +71,7 @@ func (s *Store) applyReplayed(rec wal.Record) error {
 // before Serve. recovered reports the quarantine path: a directory
 // replay rejected as corrupt (wal.ErrBadSegment) is renamed aside to
 // dir+".corrupt", the store is reset, and the node starts empty on a
-// fresh log — replica repair refills it, exactly the contract corrupt
-// snapshots already have (ErrBadSnapshot). Errors that are not
+// fresh log — replica repair refills it. Errors that are not
 // corruption (permissions, disk full) fail the open outright: starting
 // a non-durable node silently is worse than not starting.
 func (b *Backend) OpenData(dir string, opts wal.Options) (recovered bool, err error) {
@@ -92,13 +87,13 @@ func (b *Backend) OpenData(dir string, opts wal.Options) (recovered bool, err er
 		return false, nil
 	}
 	if !errors.Is(err, wal.ErrBadSegment) {
-		return false, fmt.Errorf("kvstore: backend %d open data: %w", b.id, err)
+		return false, fmt.Errorf("node: backend %d open data: %w", b.id, err)
 	}
-	log.Printf("kvstore: backend %d: data dir %s corrupt (%v); quarantining and starting empty", b.id, dir, err)
+	log.Printf("node: backend %d: data dir %s corrupt (%v); quarantining and starting empty", b.id, dir, err)
 	quarantine := dir + ".corrupt"
 	os.RemoveAll(quarantine) // a previous quarantine: one level of history is enough
 	if rerr := os.Rename(dir, quarantine); rerr != nil {
-		return false, fmt.Errorf("kvstore: backend %d quarantine data dir: %w", b.id, rerr)
+		return false, fmt.Errorf("node: backend %d quarantine data dir: %w", b.id, rerr)
 	}
 	// Replay may have applied a prefix before hitting the corruption;
 	// discard it — a partial keyspace served as authoritative is how
@@ -106,7 +101,7 @@ func (b *Backend) OpenData(dir string, opts wal.Options) (recovered bool, err er
 	b.store = NewStore()
 	l, err = wal.Open(dir, opts, nil)
 	if err != nil {
-		return false, fmt.Errorf("kvstore: backend %d reopen after quarantine: %w", b.id, err)
+		return false, fmt.Errorf("node: backend %d reopen after quarantine: %w", b.id, err)
 	}
 	b.store.AttachWAL(l)
 	b.wal = l

@@ -12,9 +12,7 @@ import (
 // mapping for elastic membership: a ±1 member view change moves only the
 // arcs the joining/draining member owns — ~d/n of replica groups —
 // because every other member's ring points are untouched. Compare
-// Remap(Hash), where the modular draw reshuffles nearly every group, and
-// Remap(Jump), where a mid-list drain shifts the dense index of every
-// later member.
+// Remap(Hash), where the modular draw reshuffles nearly every group.
 //
 // Placement is keyed by the secret seed exactly like Ring, so the
 // mapping stays opaque without the seed and a seed rotation still

@@ -172,10 +172,6 @@ const (
 	KindHash       Kind = "hash"
 	KindRing       Kind = "ring"
 	KindRendezvous Kind = "rendezvous"
-	// KindJump is the jump-consistent-hash variant: same d-replica load
-	// profile as KindHash, but a bucket-count change moves only ~d/n of
-	// replica groups (see Jump for the dense-index caveat).
-	KindJump Kind = "jump"
 )
 
 // New constructs a partitioner of the given kind. It returns an error for
@@ -188,8 +184,6 @@ func New(kind Kind, n, d int, seed uint64) (Partitioner, error) {
 		return NewRing(n, d, seed, 0), nil
 	case KindRendezvous:
 		return NewRendezvous(n, d, seed), nil
-	case KindJump:
-		return NewJump(n, d, seed), nil
 	default:
 		return nil, fmt.Errorf("partition: unknown partitioner kind %q", kind)
 	}

@@ -15,7 +15,6 @@ func allKinds(n, d int, seed uint64) map[string]Partitioner {
 		"hash":        NewHash(n, d, seed),
 		"ring":        NewRing(n, d, seed, 0),
 		"rendezvous":  NewRendezvous(n, d, seed),
-		"jump":        NewJump(n, d, seed),
 		"member-ring": NewMemberRing(ids, d, seed, 0),
 	}
 }

@@ -25,8 +25,7 @@
 // anywhere data was supposed to be stable — a sealed segment, or
 // mid-file with valid records after it — is corruption, not a torn
 // write, and surfaces as ErrBadSegment so the caller can fall back to
-// start-empty-and-repair (the same contract kvstore's ErrBadSnapshot
-// has).
+// start-empty-and-repair.
 package wal
 
 import (
@@ -54,7 +53,7 @@ const (
 // mismatch on stable data, an impossible record header mid-file, or a
 // manifest referencing a segment that is gone. Callers should treat the
 // whole directory as suspect (quarantine it and start empty — repair
-// refills the node), exactly as kvstore treats ErrBadSnapshot.
+// refills the node), as node.Backend.OpenData does.
 var ErrBadSegment = errors.New("wal: bad segment")
 
 // ErrClosed reports an append or merge against a closed log.
